@@ -8,11 +8,14 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/designs/gradual.h"
+#include "digest.h"
 #include "lab/experiment.h"
 #include "lab/registry.h"
 #include "trace/codec.h"
@@ -102,7 +105,50 @@ TEST(Registry, DuplicateRegistrationThrows) {
       std::invalid_argument);
 }
 
+// Report digests (FNV-1a-64 over every cell table and estimate row,
+// doubles by bit pattern — perfbench/src/digest.h) of each registered
+// scenario's smoke-scale spec through all nine estimators. A refactor
+// that claims "same behaviour" must leave every digest unmoved; moving
+// one on purpose is a re-pin, noted in CHANGES.md with the reason.
+struct GoldenDigest {
+  const char* scenario;
+  std::uint64_t digest;
+};
+constexpr GoldenDigest kGoldenDigests[] = {
+    {"dumbbell/bbr_vs_cubic", 0x67bd5543b01be9fdull},
+    {"dumbbell/pacing", 0x2793aaed242b7168ull},
+    {"dumbbell/two_connections", 0x4c1b6533602def45ull},
+    {"fleet/experiment", 0xfc031befd9c3e621ull},
+    {"fleet/heterogeneous", 0x6b00932f5405f12cull},
+    {"paired_links/abr_swap", 0x9d865e08c25e9946ull},
+    {"paired_links/baseline", 0xafdde6833a1544aeull},
+    {"paired_links/bba_vs_rate", 0x4c1be55ead326d45ull},
+    {"paired_links/cap_50", 0xeebfecc44d5b48f0ull},
+    {"paired_links/drop_top", 0xa008fbe3b7909d29ull},
+    {"paired_links/experiment", 0x1f42434045477e18ull},
+    {"paired_links/flash_crowd", 0x62fac807e3e5a1caull},
+    {"paired_links/lossy_telemetry", 0x5c260939cc954dceull},
+    {"paired_links/outage", 0x37a5153ef10f2241ull},
+    {"trace/replay", 0xba1f59b6d0f80f00ull},
+    {"trace/self_calibration", 0xf1a9d2aa9912d35aull},
+};
+
+std::string hex(std::uint64_t value) {
+  char buffer[24];
+  std::snprintf(buffer, sizeof(buffer), "0x%016llxull",
+                static_cast<unsigned long long>(value));
+  return buffer;
+}
+
 TEST(Registry, EveryScenarioIsBitIdenticalAcrossThreadCounts) {
+  // Every registered key has a golden, and every golden a key: a new
+  // scenario lands together with its pinned digest.
+  std::vector<std::string> golden_keys;
+  for (const GoldenDigest& golden : kGoldenDigests) {
+    golden_keys.emplace_back(golden.scenario);
+  }
+  ASSERT_EQ(lab::scenario_names(), golden_keys);
+
   util::Runner serial(1);
   util::Runner pool(4);
   // trace/replay needs a recorded log; export one smoke world for it
@@ -120,7 +166,8 @@ TEST(Registry, EveryScenarioIsBitIdenticalAcrossThreadCounts) {
     trace::write_trace_file(trace_path,
                             trace::make_log(source->run(0.95, 5), meta));
   }
-  for (const std::string& name : lab::scenario_names()) {
+  for (const GoldenDigest& golden : kGoldenDigests) {
+    const std::string name = golden.scenario;
     SCOPED_TRACE(name);
     lab::ExperimentSpec spec;
     spec.scenario = name;
@@ -128,9 +175,24 @@ TEST(Registry, EveryScenarioIsBitIdenticalAcrossThreadCounts) {
     spec.tuning.trace_path = trace_path;
     spec.replicates = 2;
     spec.seed = 7;
+    spec.estimators = core::estimator_names();
+    spec.analysis.bootstrap_replicates = 50;
 
     const auto report1 = lab::run_experiment(spec, serial);
     const auto reportN = lab::run_experiment(spec, pool);
+
+    // Pin a real run, never an empty one: every cell OK with rows, and
+    // the analysis stage produced estimates.
+    ASSERT_TRUE(report1.manifest().complete());
+    std::size_t estimate_rows = 0;
+    for (const auto& table : report1.estimates) {
+      estimate_rows += table.rows.size();
+    }
+    EXPECT_GT(estimate_rows, 0u);
+    for (const auto& cell : report1.cells) {
+      ASSERT_FALSE(cell.table.columns.empty());
+      EXPECT_GT(cell.table.columns.front().size(), 5u);
+    }
 
     ASSERT_EQ(report1.allocations, reportN.allocations);
     ASSERT_EQ(report1.cells.size(), reportN.cells.size());
@@ -141,6 +203,11 @@ TEST(Registry, EveryScenarioIsBitIdenticalAcrossThreadCounts) {
       expect_tables_identical(report1.cells[i].table,
                               reportN.cells[i].table);
     }
+    const std::uint64_t digest1 = perfbench::report_digest(report1);
+    EXPECT_EQ(hex(digest1), hex(perfbench::report_digest(reportN)))
+        << name << ": report differs between 1 and 4 threads";
+    EXPECT_EQ(hex(digest1), hex(golden.digest))
+        << name << ": report digest moved from its golden";
   }
 }
 
