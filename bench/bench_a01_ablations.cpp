@@ -45,6 +45,8 @@ int main() {
   xp::bench::header(
       "Ablation 2 — switchback interval length (min RTT TTE; alternating "
       "intervals over 5 days)");
+  const auto min_rtt = xp::core::select(run.sessions, xp::core::Metric::kMinRtt,
+                                        xp::core::RowFilter{});
   std::printf("%14s | %10s %22s\n", "interval", "estimate", "95% CI width");
   for (int days_per_interval : {1, 2}) {
     xp::core::SwitchbackOptions options;
@@ -52,8 +54,7 @@ int main() {
     for (int d = 0; d < 5; ++d) {
       options.day_treated[d] = (d / days_per_interval) % 2 == 0;
     }
-    const auto estimate = xp::core::switchback_tte(
-        run.sessions, xp::core::Metric::kMinRtt, options);
+    const auto estimate = xp::core::switchback_tte(min_rtt, options);
     std::printf("%11d d  | %+9.4f %22.4f\n", days_per_interval,
                 estimate.estimate, estimate.ci_high - estimate.ci_low);
   }

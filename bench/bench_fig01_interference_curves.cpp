@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "lab/scenarios.h"
 #include "sim/dumbbell.h"
 
 namespace {
@@ -47,11 +46,9 @@ int main() {
   std::printf("  -> tau(p) constant and equal to TTE; SUTVA holds.\n");
 
   std::printf("\n(b) congestion interference (shared 10 Gb/s bottleneck):\n");
-  xp::lab::LabConfig config;
-  config.dumbbell.warmup = 3.0;
-  config.dumbbell.duration = 9.0;
-  const auto sweep = xp::lab::run_allocation_sweep(
-      xp::lab::Treatment::kTwoConnections, config);
+  // 2.7 s warmup + 9 s window: the canonical lab horizon scaled by 0.9.
+  const auto sweep = xp::bench::lab_points(
+      xp::bench::lab_sweep("dumbbell/two_connections", 0.9));
   std::printf("%6s | %12s %12s %12s\n", "p", "mu_T(p)", "mu_C(p)",
               "tau(p)");
   for (const auto& point : sweep) {

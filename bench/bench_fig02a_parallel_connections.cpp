@@ -3,21 +3,19 @@
 // allocation shows ~2x throughput for the treatment with similar
 // retransmit rates — yet TTE for throughput is zero and TTE for
 // retransmissions is large.
+#include <algorithm>
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "lab/scenarios.h"
 
 int main() {
   xp::bench::header(
       "Figure 2a — applications using 1 vs 2 parallel TCP connections "
       "(10 apps, 10 Gb/s droptail bottleneck)");
 
-  xp::lab::LabConfig config;
-  config.dumbbell.warmup = 3.0;
-  config.dumbbell.duration = 11.0;
-  const auto sweep = xp::lab::run_allocation_sweep(
-      xp::lab::Treatment::kTwoConnections, config);
+  // 3.3 s warmup + 11 s window: the canonical lab horizon scaled by 1.1.
+  const auto sweep = xp::bench::lab_points(
+      xp::bench::lab_sweep("dumbbell/two_connections", 1.1));
 
   std::printf("%6s %6s | %14s %14s %8s | %12s %12s | %10s\n", "alloc",
               "#twoC", "tput_2conn", "tput_1conn", "ratio", "retx_2conn",

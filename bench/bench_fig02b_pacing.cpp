@@ -8,21 +8,19 @@
 // burst-clustered drops and win — but the interference structure the
 // figure demonstrates (large constant A/B effect at every p, TTE ~ 0,
 // opposite-sign spillover) is identical.
+#include <algorithm>
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "lab/scenarios.h"
 
 int main() {
   xp::bench::header(
       "Figure 2b — paced vs unpaced TCP Reno connections "
       "(10 connections, 10 Gb/s droptail bottleneck)");
 
-  xp::lab::LabConfig config;
-  config.dumbbell.warmup = 3.0;
-  config.dumbbell.duration = 11.0;
+  // 3.3 s warmup + 11 s window: the canonical lab horizon scaled by 1.1.
   const auto sweep =
-      xp::lab::run_allocation_sweep(xp::lab::Treatment::kPacing, config);
+      xp::bench::lab_points(xp::bench::lab_sweep("dumbbell/pacing", 1.1));
 
   std::printf("%6s %6s | %14s %14s | %12s %12s | %10s\n", "alloc", "#paced",
               "tput_paced", "tput_unpaced", "retx_paced", "retx_unpaced",

@@ -6,18 +6,15 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "lab/scenarios.h"
 
 int main() {
   xp::bench::header(
       "Figure 3 — Cubic vs BBR, 10 connections on a 10 Gb/s bottleneck "
       "(x = fraction using BBR)");
 
-  xp::lab::LabConfig config;
-  config.dumbbell.warmup = 3.0;
-  config.dumbbell.duration = 11.0;
-  const auto sweep =
-      xp::lab::run_allocation_sweep(xp::lab::Treatment::kBbrVsCubic, config);
+  // 3.3 s warmup + 11 s window: the canonical lab horizon scaled by 1.1.
+  const auto sweep = xp::bench::lab_points(
+      xp::bench::lab_sweep("dumbbell/bbr_vs_cubic", 1.1));
 
   std::printf("%6s %6s | %14s %14s | %10s\n", "alloc", "#bbr", "tput_bbr",
               "tput_cubic", "agg_Gbps");

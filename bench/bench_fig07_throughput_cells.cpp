@@ -6,12 +6,14 @@
 #include "bench/bench_util.h"
 #include "core/designs/paired_link.h"
 #include "core/report.h"
+#include "core/session_metrics.h"
 
 int main() {
   xp::bench::header("Figure 7 — throughput cell means and estimands");
   const auto run = xp::bench::main_experiment();
-  const auto report = xp::core::analyze_paired_link(
-      run.sessions, xp::core::Metric::kThroughput);
+  auto report = xp::core::analyze_paired_link(xp::core::select(
+      run.sessions, xp::core::Metric::kThroughput, xp::core::RowFilter{}));
+  report.metric = xp::core::Metric::kThroughput;
   xp::core::print_cell_table(std::cout, report, "Mb/s", 1e-6);
   std::printf("\nestimands (relative to the link-2 control cell):\n");
   std::printf("  naive tau(0.95): %s\n",

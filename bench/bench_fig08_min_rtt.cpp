@@ -8,12 +8,13 @@
 #include "bench/bench_util.h"
 #include "core/designs/paired_link.h"
 #include "core/report.h"
+#include "core/session_metrics.h"
 
 int main() {
   xp::bench::header("Figure 8 — min RTT cell means (normalized)");
   const auto run = xp::bench::main_experiment();
-  const auto report = xp::core::analyze_paired_link(
-      run.sessions, xp::core::Metric::kMinRtt);
+  const auto report = xp::core::analyze_paired_link(xp::core::select(
+      run.sessions, xp::core::Metric::kMinRtt, xp::core::RowFilter{}));
 
   double smallest = 1e18;
   for (int link = 0; link < 2; ++link) {

@@ -203,9 +203,14 @@ void BM_RunnerAllocationSweep(benchmark::State& state) {
   config.dumbbell.warmup = 0.25;
   config.dumbbell.duration = 1.0;
   config.num_apps = 7;
+  std::vector<xp::lab::LabRun> sweep(config.num_apps + 1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(xp::lab::run_allocation_sweep(
-        xp::lab::Treatment::kTwoConnections, config, runner));
+    runner.parallel_for(sweep.size(), [&](std::size_t treated) {
+      sweep[treated] = xp::lab::run_lab(xp::lab::Treatment::kTwoConnections,
+                                        treated, config);
+    });
+    benchmark::DoNotOptimize(sweep.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_RunnerAllocationSweep)

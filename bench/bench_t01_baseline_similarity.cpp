@@ -2,26 +2,30 @@
 // metric between the two links on all-control data. Most metrics should
 // show no significant difference; rebuffers show the pre-existing
 // imbalance (the paper found link 1 had ~20% more sessions with
-// rebuffers, attributed to content differences).
+// rebuffers, attributed to content differences). The read is the aa/null
+// estimator's link_diff row over one paired_links/baseline week.
 #include <cstdio>
+#include <string>
 
 #include "bench/bench_util.h"
-#include "core/aa_test.h"
 #include "core/report.h"
+#include "core/session_metrics.h"
 
 int main() {
   xp::bench::header(
       "Baseline week (Section 4.1) — link 1 vs link 2 similarity, "
       "all-control traffic");
-  const auto baseline = xp::bench::baseline_week();
-  const auto rows = xp::core::link_similarity(baseline.sessions);
+  const auto report = xp::bench::bootstrap_weeks("paired_links/baseline", 1,
+                                                 {"aa/null"}, 1917);
+  const auto& table = report.estimates_for("aa/null");
   std::printf("%-22s | %-34s %s\n", "metric", "link1 - link2 (relative)",
               "significant?");
-  for (const auto& row : rows) {
-    std::printf("%-22s | %-34s %s\n",
-                std::string(metric_name(row.metric)).c_str(),
-                xp::core::format_relative(row.difference).c_str(),
-                row.difference.significant ? "YES" : "no");
+  for (xp::core::Metric metric : xp::core::kAllMetrics) {
+    const std::string name(xp::core::metric_name(metric));
+    const auto& difference = table.row(name + "/link_diff").effect();
+    std::printf("%-22s | %-34s %s\n", name.c_str(),
+                xp::core::format_relative(difference).c_str(),
+                difference.significant ? "YES" : "no");
   }
   std::printf(
       "\n(paper: links differed in bytes sent +5%%, stability +2%%, "

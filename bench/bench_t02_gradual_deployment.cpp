@@ -1,48 +1,88 @@
 // Section 5.1: using a gradual deployment as an event-study instrument.
-// Ramp the parallel-connections treatment through increasing allocations,
-// estimate tau(p) / rho(p) / s(p) at every step, and run the SUTVA test
-// battery. Also the switchback-interval ablation from DESIGN.md: A/A
+// Ramp the parallel-connections treatment through increasing allocations
+// (one dumbbell/two_connections spec read by gradual/contrast), estimate
+// tau(p) / rho(p) / s(p) at every step, and run the SUTVA test battery.
+// Also the switchback-interval ablation from DESIGN.md: A/A
 // false-positive counts for day-level switchbacks vs event studies.
+#include <cstdint>
 #include <cstdio>
+#include <map>
+#include <string>
 
 #include "bench/bench_util.h"
-#include "core/aa_test.h"
+#include "core/analysis.h"
+#include "core/designs/event_study.h"
 #include "core/designs/gradual.h"
-#include "lab/scenarios.h"
+#include "core/designs/paired_link.h"
+#include "core/designs/switchback.h"
+#include "core/session_metrics.h"
+
+namespace {
+
+constexpr const char* kMetric = "avg throughput";
+
+/// Design results over A/A data: every significant one is a false
+/// positive.
+struct Calibration {
+  std::size_t tested = 0;
+  std::size_t false_positives = 0;
+
+  void add(const xp::core::EffectEstimate& estimate) {
+    ++tested;
+    if (estimate.significant) ++false_positives;
+  }
+};
+
+}  // namespace
 
 int main() {
   xp::bench::header(
       "Gradual deployment (Section 5.1) — parallel-connections treatment "
       "ramp, 10 Gb/s lab");
 
-  xp::lab::LabConfig config;
-  config.dumbbell.warmup = 2.0;
-  config.dumbbell.duration = 8.0;
-  const auto scenario = xp::lab::make_lab_scenario(
-      xp::lab::Treatment::kTwoConnections, xp::lab::LabMetric::kThroughput,
-      config);
-  xp::core::GradualOptions options;
-  options.allocations = {0.1, 0.3, 0.5, 0.7, 0.9};
-  options.replications = 3;
-  const auto report = xp::core::run_gradual_deployment(scenario, options);
+  // p = 0 is the pre-deployment world (mu_C(0)); every later step keeps
+  // at least two of the ten apps in each arm, since gradual/contrast
+  // reads each world on its own. 2.4 s warmup + 8 s window.
+  xp::lab::ExperimentSpec spec;
+  spec.scenario = "dumbbell/two_connections";
+  spec.tuning.duration_scale = 0.8;
+  spec.allocations = {0.0, 0.2, 0.4, 0.6, 0.8};
+  spec.estimators = {"gradual/contrast"};
+  const auto report = xp::lab::run_experiment(spec);
+  const auto& table = report.estimates_for("gradual/contrast");
+
+  std::map<double, const xp::core::EstimateRow*> taus, spillovers;
+  for (const xp::core::EstimateRow* row : table.metric_rows(kMetric)) {
+    if (row->label.starts_with("tau@")) taus[row->allocation] = row;
+    if (row->label.starts_with("spillover@")) {
+      spillovers[row->allocation] = row;
+    }
+  }
 
   std::printf("%6s | %10s %10s | %10s %10s %10s\n", "p", "mu_T", "mu_C",
               "tau(p)", "rho(p)", "s(p)");
-  for (const auto& step : report.steps) {
+  for (std::size_t a = 1; a < report.allocations.size(); ++a) {
+    const double p = report.allocations[a];
+    const auto& rows = report.cell(a, 0).table.column(kMetric);
+    const double tau = taus.at(p)->effect().estimate;
+    const double spillover = spillovers.at(p)->effect().estimate;
+    // rho(p) = mu_T(p) - mu_C(0) = tau(p) + s(p).
     std::printf("%6.2f | %7.0f Mb %7.0f Mb | %7.0f Mb %7.0f Mb %7.0f Mb\n",
-                step.allocation, step.mu_treated / 1e6,
-                step.mu_control / 1e6, step.tau.estimate / 1e6,
-                step.rho.estimate / 1e6, step.spillover.estimate / 1e6);
+                p, xp::core::arm_mean(rows, true) / 1e6,
+                xp::core::arm_mean(rows, false) / 1e6, tau / 1e6,
+                (tau + spillover) / 1e6, spillover / 1e6);
   }
+  const auto tests = xp::core::sutva_tests(table, kMetric);
   std::printf("\nfinal-step TTE proxy: %+0.1f%% of baseline (true TTE: 0)\n",
-              100.0 * report.tte.relative());
+              100.0 * table.row(std::string(kMetric) + "/tte")
+                          .effect()
+                          .relative());
   std::printf(
       "SUTVA battery: max tau-inequality z = %.1f, significant spillovers "
       "= %zu/%zu, max rho-vs-tau z = %.1f -> interference %s\n",
-      report.tests.max_tau_inequality_z,
-      report.tests.significant_spillovers, report.steps.size(),
-      report.tests.max_partial_vs_average_z,
-      report.tests.interference_detected ? "DETECTED" : "not detected");
+      tests.max_tau_inequality_z, tests.significant_spillovers,
+      spillovers.size(), tests.max_partial_vs_average_z,
+      tests.interference_detected ? "DETECTED" : "not detected");
 
   // --- A/A design calibration (Section 5.3) ---
   xp::bench::header(
@@ -51,18 +91,43 @@ int main() {
   const auto baseline = xp::bench::baseline_week();
   std::printf("%-22s | %-26s %-26s\n", "metric",
               "switchback FP (of tested)", "event-study FP (of tested)");
+  constexpr std::uint32_t kDays = 5;
+  xp::core::RowFilter link0_control;
+  link0_control.link = 0;
+  link0_control.treated = 0;
+  xp::core::RowFilter link1_control;
+  link1_control.link = 1;
+  link1_control.treated = 0;
   for (auto metric :
        {xp::core::Metric::kThroughput, xp::core::Metric::kMinRtt,
         xp::core::Metric::kBitrate, xp::core::Metric::kPlayDelay,
         xp::core::Metric::kRetransmitFraction}) {
-    const auto sb = xp::core::calibrate_switchback_aa(baseline.sessions,
-                                                      metric, 5);
-    const auto es = xp::core::calibrate_event_study_aa(baseline.sessions,
-                                                       metric, 5);
+    // A/A: no real treatment anywhere. Link 0's control traffic plays the
+    // treated source, link 1's the control source.
+    const auto rows = xp::core::cross_cell_contrast(
+        xp::core::select(baseline.sessions, metric, xp::core::RowFilter{}),
+        link0_control, link1_control);
+    // Every day assignment with at least one day per arm.
+    Calibration switchback;
+    for (std::uint32_t mask = 1; mask + 1 < (1u << kDays); ++mask) {
+      xp::core::SwitchbackOptions options;
+      options.day_treated.resize(kDays);
+      for (std::uint32_t d = 0; d < kDays; ++d) {
+        options.day_treated[d] = (mask >> d) & 1u;
+      }
+      switchback.add(xp::core::switchback_tte(rows, options));
+    }
+    // Every switch day.
+    Calibration event_study;
+    for (std::uint32_t day = 1; day < kDays; ++day) {
+      xp::core::EventStudyOptions options;
+      options.switch_day = day;
+      event_study.add(xp::core::event_study_tte(rows, options));
+    }
     std::printf("%-22s | %10zu / %-12zu %10zu / %-12zu\n",
                 std::string(metric_name(metric)).c_str(),
-                sb.false_positives, sb.assignments_tested,
-                es.false_positives, es.assignments_tested);
+                switchback.false_positives, switchback.tested,
+                event_study.false_positives, event_study.tested);
   }
   std::printf(
       "\n(paper: zero switchback false positives; event studies false-"

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "core/analysis.h"
 #include "lab/registry.h"
 #include "stats/descriptive.h"
 #include "util/runner.h"
@@ -57,6 +58,38 @@ lab::ExperimentReport bootstrap_weeks(const std::string& scenario,
   spec.estimators = std::move(estimators);
   spec.seed = seed;
   return lab::run_experiment(spec);
+}
+
+lab::ExperimentReport lab_sweep(const std::string& scenario,
+                                double duration_scale) {
+  lab::ExperimentSpec spec;
+  spec.scenario = scenario;
+  spec.tuning.duration_scale = duration_scale;
+  for (int treated = 0; treated <= 10; ++treated) {
+    spec.allocations.push_back(treated / 10.0);
+  }
+  return lab::run_experiment(spec);
+}
+
+std::vector<LabPoint> lab_points(const lab::ExperimentReport& report) {
+  std::vector<LabPoint> points;
+  for (const lab::ExperimentCell& cell : report.cells) {
+    const auto& throughput = cell.table.column("avg throughput");
+    const auto& retransmit = cell.table.column("% retransmitted bytes");
+    LabPoint point;
+    point.allocation = cell.allocation;
+    for (const core::Observation& row : throughput) {
+      point.treated_count += row.treated ? 1 : 0;
+    }
+    point.mu_treated_throughput = core::arm_mean(throughput, true);
+    point.mu_control_throughput = core::arm_mean(throughput, false);
+    point.mu_treated_retransmit = core::arm_mean(retransmit, true);
+    point.mu_control_retransmit = core::arm_mean(retransmit, false);
+    point.aggregate_throughput =
+        cell.table.aggregate("aggregate_throughput_bps");
+    points.push_back(point);
+  }
+  return points;
 }
 
 HourlyBand hourly_band(

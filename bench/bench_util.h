@@ -42,6 +42,28 @@ lab::ExperimentReport bootstrap_weeks(
     std::vector<std::string> estimators = {}, std::uint64_t seed = 2021,
     double duration_scale = 1.0);
 
+/// The Figure 2/3 lab sweep: a dumbbell/* scenario at all eleven treated
+/// counts of its ten apps (allocation k/10), one world per point, through
+/// the experiment pipeline (cells fan across the process-wide runner).
+/// duration_scale stretches the canonical 3 s warmup + 10 s window.
+lab::ExperimentReport lab_sweep(const std::string& scenario,
+                                double duration_scale);
+
+/// One sweep point read off a lab cell's table: per-arm means of the
+/// throughput and retransmit columns plus the bottleneck aggregate. An
+/// empty arm (the p = 0 and p = 1 endpoints) reads 0.
+struct LabPoint {
+  double allocation = 0.0;
+  std::size_t treated_count = 0;
+  double mu_treated_throughput = 0.0;
+  double mu_control_throughput = 0.0;
+  double mu_treated_retransmit = 0.0;
+  double mu_control_retransmit = 0.0;
+  double aggregate_throughput = 0.0;
+};
+
+std::vector<LabPoint> lab_points(const lab::ExperimentReport& report);
+
 /// Across-week spread of a per-week statistic.
 struct WeekSpread {
   double mean = 0.0;

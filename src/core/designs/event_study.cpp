@@ -19,22 +19,10 @@ std::vector<Observation> event_study_observations(
   return out;
 }
 
-std::vector<Observation> event_study_observations(
-    std::span<const video::SessionRecord> rows, Metric metric,
-    const EventStudyOptions& options) {
-  return event_study_observations(select(rows, metric, RowFilter{}), options);
-}
-
 EffectEstimate event_study_tte(std::span<const Observation> rows,
                                const EventStudyOptions& options) {
   const auto obs = event_study_observations(rows, options);
   return hourly_fe_analysis(obs, options.analysis);
-}
-
-EffectEstimate event_study_tte(std::span<const video::SessionRecord> rows,
-                               Metric metric,
-                               const EventStudyOptions& options) {
-  return event_study_tte(select(rows, metric, RowFilter{}), options);
 }
 
 }  // namespace xp::core

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/analysis.h"
-#include "core/session_metrics.h"
 
 namespace xp::core {
 
@@ -31,15 +30,8 @@ struct EventStudyOptions {
 std::vector<Observation> event_study_observations(
     std::span<const Observation> rows, const EventStudyOptions& options);
 
-std::vector<Observation> event_study_observations(
-    std::span<const video::SessionRecord> rows, Metric metric,
-    const EventStudyOptions& options);
-
 /// TTE estimate from the event study.
 EffectEstimate event_study_tte(std::span<const Observation> rows,
-                               const EventStudyOptions& options);
-EffectEstimate event_study_tte(std::span<const video::SessionRecord> rows,
-                               Metric metric,
                                const EventStudyOptions& options);
 
 }  // namespace xp::core

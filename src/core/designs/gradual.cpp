@@ -2,130 +2,53 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
-
-#include "stats/descriptive.h"
-#include "stats/distributions.h"
-#include "stats/ttest.h"
+#include <vector>
 
 namespace xp::core {
 
 namespace {
 
-struct ArmStats {
-  std::vector<double> treated;
-  std::vector<double> control;
-};
-
-ArmStats split_arms(std::span<const Observation> rows) {
-  ArmStats arms;
-  for (const Observation& row : rows) {
-    (row.treated ? arms.treated : arms.control).push_back(row.outcome);
-  }
-  return arms;
+/// |a - b| / sqrt(se_a^2 + se_b^2); 0 when neither has a standard error.
+double difference_z(const EffectEstimate& a, const EffectEstimate& b) {
+  const double se =
+      std::sqrt(a.std_error * a.std_error + b.std_error * b.std_error);
+  return se > 0.0 ? std::fabs((a.estimate - b.estimate) / se) : 0.0;
 }
 
-EffectEstimate from_ttest(const stats::TTestResult& t, double baseline) {
-  EffectEstimate e;
-  e.estimate = t.estimate;
-  e.std_error = t.std_error;
-  e.ci_low = t.ci_low;
-  e.ci_high = t.ci_high;
-  e.p_value = t.p_value;
-  e.significant = t.significant;
-  e.baseline = baseline;
-  return e;
+/// A null row (failed guard, missing arm) carries no standard error.
+bool estimated(const EffectEstimate& e) {
+  return std::isfinite(e.estimate) && e.std_error > 0.0;
 }
 
 }  // namespace
 
-GradualReport run_gradual_deployment(const Scenario& scenario,
-                                     const GradualOptions& options) {
-  if (options.allocations.empty()) {
-    throw std::invalid_argument("gradual: no allocations");
-  }
-
-  GradualReport report;
-  const std::size_t reps = std::max<std::size_t>(1, options.replications);
-
-  // Baseline world: nothing treated; mu_C(0).
-  std::vector<double> baseline_control;
-  for (std::size_t r = 0; r < reps; ++r) {
-    const auto baseline_rows = scenario(0.0, options.seed + 104729 * r);
-    for (const Observation& row : baseline_rows) {
-      if (!row.treated) baseline_control.push_back(row.outcome);
-    }
-  }
-  if (baseline_control.size() < 2) {
-    throw std::invalid_argument("gradual: baseline world has no controls");
-  }
-  const double mu_c0 = stats::mean(baseline_control);
-
-  std::uint64_t seed = options.seed;
-  for (double p : options.allocations) {
-    ArmStats arms;
-    for (std::size_t r = 0; r < reps; ++r) {
-      ++seed;
-      const auto rows = scenario(p, seed);
-      const ArmStats rep_arms = split_arms(rows);
-      arms.treated.insert(arms.treated.end(), rep_arms.treated.begin(),
-                          rep_arms.treated.end());
-      arms.control.insert(arms.control.end(), rep_arms.control.begin(),
-                          rep_arms.control.end());
-    }
-    if (arms.treated.size() < 2 || arms.control.size() < 2) {
-      continue;  // degenerate allocation for this scenario size
-    }
-    GradualStep step;
-    step.allocation = p;
-    step.mu_treated = stats::mean(arms.treated);
-    step.mu_control = stats::mean(arms.control);
-    step.tau = from_ttest(
-        stats::welch_t_test(arms.treated, arms.control,
-                            options.analysis.confidence_level),
-        mu_c0);
-    step.rho = from_ttest(
-        stats::welch_t_test(arms.treated, baseline_control,
-                            options.analysis.confidence_level),
-        mu_c0);
-    step.spillover = from_ttest(
-        stats::welch_t_test(arms.control, baseline_control,
-                            options.analysis.confidence_level),
-        mu_c0);
-    report.steps.push_back(step);
-  }
-
-  if (!report.steps.empty()) {
-    // TTE from the final (largest allocation) step's treated arm against
-    // the pre-deployment control world.
-    report.tte = report.steps.back().rho;
-  }
-  report.tests = sutva_tests(report.steps);
-  return report;
-}
-
-SutvaTests sutva_tests(std::span<const GradualStep> steps) {
+SutvaTests sutva_tests(const EstimateTable& table, std::string_view metric,
+                       std::size_t replicate) {
   SutvaTests tests;
-  for (std::size_t i = 0; i < steps.size(); ++i) {
-    for (std::size_t j = i + 1; j < steps.size(); ++j) {
-      const double diff = steps[i].tau.estimate - steps[j].tau.estimate;
-      const double se = std::sqrt(steps[i].tau.std_error *
-                                      steps[i].tau.std_error +
-                                  steps[j].tau.std_error *
-                                      steps[j].tau.std_error);
-      if (se > 0.0) {
-        tests.max_tau_inequality_z =
-            std::max(tests.max_tau_inequality_z, std::fabs(diff / se));
-      }
+  std::vector<const EstimateRow*> taus;
+  const EstimateRow* tte = nullptr;
+  for (const EstimateRow* row : table.metric_rows(metric)) {
+    const EffectEstimate& e = row->replicates.at(replicate);
+    if (!estimated(e)) continue;
+    if (row->label == "tte") {
+      tte = row;
+    } else if (row->label.starts_with("tau@")) {
+      taus.push_back(row);
+    } else if (row->label.starts_with("spillover@") && e.significant) {
+      ++tests.significant_spillovers;
     }
-    if (steps[i].spillover.significant) ++tests.significant_spillovers;
-    const double diff = steps[i].rho.estimate - steps[i].tau.estimate;
-    const double se =
-        std::sqrt(steps[i].rho.std_error * steps[i].rho.std_error +
-                  steps[i].tau.std_error * steps[i].tau.std_error);
-    if (se > 0.0) {
+  }
+  for (std::size_t i = 0; i < taus.size(); ++i) {
+    const EffectEstimate& tau = taus[i]->replicates[replicate];
+    for (std::size_t j = i + 1; j < taus.size(); ++j) {
+      tests.max_tau_inequality_z =
+          std::max(tests.max_tau_inequality_z,
+                   difference_z(tau, taus[j]->replicates[replicate]));
+    }
+    // The tte row is rho at the top step: compare it with that step's tau.
+    if (tte != nullptr && taus[i]->allocation == tte->allocation) {
       tests.max_partial_vs_average_z =
-          std::max(tests.max_partial_vs_average_z, std::fabs(diff / se));
+          difference_z(tte->replicates[replicate], tau);
     }
   }
   tests.interference_detected = tests.max_tau_inequality_z > 2.0 ||

@@ -4,72 +4,41 @@
 // allocations p1 < p2 < ... At each step we can estimate the average
 // treatment effect tau(p), the partial treatment effect
 // rho(p) = mu_T(p) - mu_C(0), and the spillover s(p) = mu_C(p) - mu_C(0),
-// where mu_C(0) comes from the pre-deployment (p ~ 0) step. Under SUTVA
+// where mu_C(0) comes from the pre-deployment (lowest) step. Under SUTVA
 // all tau(p) are equal, rho(p) == tau(p), and s(p) == 0 — giving a test
 // battery for congestion interference.
+//
+// The deployment itself is an ExperimentSpec swept over the allocations
+// and read by the gradual/contrast estimator (core/estimator.h), which
+// publishes one row per step: "tau@<p>", "spillover@<p>" (every step
+// above the lowest), and "tte" (treated at the top step vs control at the
+// lowest — rho at the top step).
 #pragma once
 
-#include <cstdint>
-#include <functional>
-#include <span>
-#include <vector>
+#include <cstddef>
+#include <string_view>
 
-#include "core/analysis.h"
-#include "core/estimands.h"
-#include "core/observation.h"
+#include "core/estimate_table.h"
 
 namespace xp::core {
-
-/// A scenario runs the world at treatment allocation p and returns unit
-/// observations of one metric. The lab (sim/) and video substrates both
-/// provide these.
-using Scenario =
-    std::function<std::vector<Observation>(double p, std::uint64_t seed)>;
-
-struct GradualStep {
-  double allocation = 0.0;
-  double mu_treated = 0.0;     ///< mean treated outcome at p
-  double mu_control = 0.0;     ///< mean control outcome at p
-  EffectEstimate tau;          ///< within-step A/B estimate
-  EffectEstimate rho;          ///< mu_T(p) - mu_C(0)
-  EffectEstimate spillover;    ///< mu_C(p) - mu_C(0)
-};
 
 struct SutvaTests {
   /// Largest |z| for pairwise tau(p_i) == tau(p_j).
   double max_tau_inequality_z = 0.0;
   /// Number of allocations with statistically significant spillover.
   std::size_t significant_spillovers = 0;
-  /// Largest |z| for rho(p) == tau(p).
+  /// Largest |z| for rho(p) == tau(p). The table carries rho only at the
+  /// top step (its "tte" row); below it rho(p) - tau(p) is exactly s(p),
+  /// which significant_spillovers already tests.
   double max_partial_vs_average_z = 0.0;
   /// Overall verdict at ~2-sigma.
   bool interference_detected = false;
 };
 
-struct GradualReport {
-  std::vector<GradualStep> steps;
-  EffectEstimate tte;  ///< final step (p ~ 1) treated vs baseline control
-  SutvaTests tests;
-};
-
-struct GradualOptions {
-  std::vector<double> allocations = {0.02, 0.05, 0.10, 0.25,
-                                     0.50, 0.75, 0.95};
-  /// Independent runs pooled per allocation. Small testbeds (10 apps)
-  /// leave minority arms with 1-2 units; replication restores power — the
-  /// paper's lab likewise repeats each test.
-  std::size_t replications = 3;
-  std::uint64_t seed = 1;
-  AnalysisOptions analysis;
-};
-
-/// Ramp the scenario through the allocations and assemble the report.
-/// The scenario is also run at p ~= 0 (allocations.front() treated as the
-/// baseline control world uses p = 0 exactly) to obtain mu_C(0).
-GradualReport run_gradual_deployment(const Scenario& scenario,
-                                     const GradualOptions& options = {});
-
-/// Compute the SUTVA test battery from per-step estimates.
-SutvaTests sutva_tests(std::span<const GradualStep> steps);
+/// Run the SUTVA test battery over one metric of a gradual/contrast
+/// EstimateTable, reading each row's estimate from replicate world
+/// `replicate`. Null rows (a step too thin to estimate) are skipped.
+SutvaTests sutva_tests(const EstimateTable& table, std::string_view metric,
+                       std::size_t replicate = 0);
 
 }  // namespace xp::core

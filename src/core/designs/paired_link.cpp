@@ -65,25 +65,6 @@ PairedLinkReport analyze_paired_link(std::span<const Observation> rows,
   return report;
 }
 
-PairedLinkReport analyze_paired_link(
-    std::span<const video::SessionRecord> rows, Metric metric,
-    const PairedLinkOptions& options) {
-  PairedLinkReport report =
-      analyze_paired_link(select(rows, metric, RowFilter{}), options);
-  report.metric = metric;
-  return report;
-}
-
-std::vector<PairedLinkReport> analyze_all_metrics(
-    std::span<const video::SessionRecord> rows,
-    const PairedLinkOptions& options) {
-  std::vector<PairedLinkReport> reports;
-  for (Metric metric : kAllMetrics) {
-    reports.push_back(analyze_paired_link(rows, metric, options));
-  }
-  return reports;
-}
-
 std::vector<Observation> tte_contrast(std::span<const Observation> rows,
                                       const PairedLinkOptions& options) {
   RowFilter treated_filter;

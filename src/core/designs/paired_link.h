@@ -40,22 +40,11 @@ struct PairedLinkReport {
 };
 
 /// Analyze a metric column of paired-link observations (rows keep their
-/// own arm labels; group is the link). This is the primitive every entry
-/// point below reduces to — ObservationTable columns feed it directly.
-/// The report's `metric` field is left at its default; callers that know
-/// the metric set it.
+/// own arm labels; group is the link) — an ObservationTable column, or
+/// core::select() over telemetry records. The report's `metric` field is
+/// left at its default; callers that know the metric set it.
 PairedLinkReport analyze_paired_link(std::span<const Observation> rows,
                                      const PairedLinkOptions& options = {});
-
-/// Analyze one metric of a paired-link telemetry dataset.
-PairedLinkReport analyze_paired_link(
-    std::span<const video::SessionRecord> rows, Metric metric,
-    const PairedLinkOptions& options = {});
-
-/// Analyze every metric in kAllMetrics (the Figure 5 table).
-std::vector<PairedLinkReport> analyze_all_metrics(
-    std::span<const video::SessionRecord> rows,
-    const PairedLinkOptions& options = {});
 
 /// The TTE contrast rows: treated on the mostly-treated link labeled A=1,
 /// control on the mostly-control link labeled A=0 (Figures 9/13 and the

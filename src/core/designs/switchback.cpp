@@ -25,22 +25,10 @@ std::vector<Observation> switchback_observations(
   return out;
 }
 
-std::vector<Observation> switchback_observations(
-    std::span<const video::SessionRecord> rows, Metric metric,
-    const SwitchbackOptions& options) {
-  return switchback_observations(select(rows, metric, RowFilter{}), options);
-}
-
 EffectEstimate switchback_tte(std::span<const Observation> rows,
                               const SwitchbackOptions& options) {
   const auto obs = switchback_observations(rows, options);
   return hourly_fe_analysis(obs, options.analysis);
-}
-
-EffectEstimate switchback_tte(std::span<const video::SessionRecord> rows,
-                              Metric metric,
-                              const SwitchbackOptions& options) {
-  return switchback_tte(select(rows, metric, RowFilter{}), options);
 }
 
 }  // namespace xp::core

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/analysis.h"
-#include "core/session_metrics.h"
 
 namespace xp::core {
 
@@ -33,16 +32,8 @@ struct SwitchbackOptions {
 std::vector<Observation> switchback_observations(
     std::span<const Observation> rows, const SwitchbackOptions& options);
 
-/// Build the emulated switchback dataset for one metric.
-std::vector<Observation> switchback_observations(
-    std::span<const video::SessionRecord> rows, Metric metric,
-    const SwitchbackOptions& options);
-
 /// TTE estimate from a switchback design.
 EffectEstimate switchback_tte(std::span<const Observation> rows,
-                              const SwitchbackOptions& options);
-EffectEstimate switchback_tte(std::span<const video::SessionRecord> rows,
-                              Metric metric,
                               const SwitchbackOptions& options);
 
 }  // namespace xp::core

@@ -426,7 +426,8 @@ class EventStudyTteEstimator final : public BuiltinEstimator {
 /// allocation, the spillover of each step's control arm against the
 /// lowest-allocation control world, and the cross-allocation TTE
 /// (treated at the highest allocation vs control at the lowest). All
-/// Welch on raw outcomes, matching run_gradual_deployment.
+/// Welch on raw outcomes; core::sutva_tests reads the SUTVA battery off
+/// these rows.
 class GradualContrastEstimator final : public BuiltinEstimator {
  public:
   std::string_view name() const noexcept override {

@@ -32,21 +32,6 @@ std::string_view metric_name(Metric metric) noexcept {
   return "?";
 }
 
-bool lower_is_better(Metric metric) noexcept {
-  switch (metric) {
-    case Metric::kMinRtt:
-    case Metric::kMeanRtt:
-    case Metric::kPlayDelay:
-    case Metric::kCancelledStart:
-    case Metric::kRetransmitFraction:
-    case Metric::kRebufferRate:
-    case Metric::kRebufferCount:
-      return true;
-    default:
-      return false;
-  }
-}
-
 double metric_value(const video::SessionRecord& row, Metric metric) noexcept {
   switch (metric) {
     case Metric::kThroughput:

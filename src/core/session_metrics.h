@@ -38,9 +38,6 @@ inline constexpr Metric kAllMetrics[] = {
 
 std::string_view metric_name(Metric metric) noexcept;
 
-/// True when a smaller value of the metric is better for users.
-bool lower_is_better(Metric metric) noexcept;
-
 /// Extract the metric value from one telemetry row.
 double metric_value(const video::SessionRecord& row, Metric metric) noexcept;
 

@@ -90,10 +90,12 @@ struct ExperimentSpec {
 
 /// Validate a spec the way video::validate checks a ClusterConfig: throws
 /// std::invalid_argument naming the offending field (empty scenario, zero
-/// replicates, empty/out-of-range/duplicate allocations, duplicate
-/// estimator keys, retry with zero attempts). run_experiment calls this
-/// after resolving an empty allocation list to the source's default, so
-/// specs that rely on that default remain valid.
+/// replicates, non-finite or non-positive tuning.duration_scale,
+/// empty/out-of-range/duplicate allocations, duplicate estimator keys,
+/// retry with zero attempts). run_experiment checks the tuning knobs
+/// before it builds the source and calls this after resolving an empty
+/// allocation list to the source's default, so specs that rely on that
+/// default remain valid.
 void validate(const ExperimentSpec& spec);
 
 /// Deterministic seed of cell `index` under base seed `base` (the same

@@ -364,14 +364,6 @@ std::unique_ptr<DataSource> make_scenario(std::string_view name,
 
 std::vector<std::string> scenario_names() { return registry().names(); }
 
-core::Scenario as_scenario(std::shared_ptr<const DataSource> source,
-                           std::string metric) {
-  return [source = std::move(source), metric = std::move(metric)](
-             double p, std::uint64_t seed) {
-    return source->run(p, seed).column(metric);
-  };
-}
-
 LabConfig canonical_lab_config() {
   LabConfig config;  // 10 Gb/s dumbbell, 10 apps, 3 s warmup + 10 s window
   return config;

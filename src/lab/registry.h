@@ -51,7 +51,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/designs/gradual.h"
 #include "lab/datasource.h"
 #include "lab/scenarios.h"
 #include "util/budget.h"
@@ -106,11 +105,6 @@ std::unique_ptr<DataSource> make_scenario(std::string_view name,
 
 /// Sorted names of all registered scenarios (built-ins included).
 std::vector<std::string> scenario_names();
-
-/// Adapt one metric column of a data source into the core::Scenario
-/// callable the designs in core/designs/ consume.
-core::Scenario as_scenario(std::shared_ptr<const DataSource> source,
-                           std::string metric);
 
 /// Canonical configurations (the single source of truth).
 LabConfig canonical_lab_config();

@@ -1,24 +1,8 @@
 #include "lab/scenarios.h"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
-#include "util/runner.h"
-
 namespace xp::lab {
-
-const char* treatment_name(Treatment treatment) noexcept {
-  switch (treatment) {
-    case Treatment::kTwoConnections:
-      return "two parallel connections";
-    case Treatment::kPacing:
-      return "pacing";
-    case Treatment::kBbrVsCubic:
-      return "BBR (vs Cubic)";
-  }
-  return "?";
-}
 
 namespace {
 
@@ -92,88 +76,6 @@ LabRun run_lab(Treatment treatment, std::size_t treated_count,
     run.units.push_back(unit);
   }
   return run;
-}
-
-std::vector<SweepPoint> run_allocation_sweep(Treatment treatment,
-                                             const LabConfig& config) {
-  return run_allocation_sweep(treatment, config, util::global_runner());
-}
-
-std::vector<SweepPoint> run_allocation_sweep(Treatment treatment,
-                                             const LabConfig& config,
-                                             util::Runner& runner) {
-  // Every sweep point is an independent simulator instance with its own
-  // deterministic seed, so the runner can fan them across cores; results
-  // land in index-addressed slots, making the output bit-for-bit identical
-  // to a serial run at any thread count.
-  std::vector<SweepPoint> sweep(config.num_apps + 1);
-  runner.parallel_for(sweep.size(), [&](std::size_t treated) {
-    LabConfig point_config = config;
-    point_config.seed = config.seed + treated * 7919;
-    const LabRun run = run_lab(treatment, treated, point_config);
-
-    SweepPoint point;
-    point.treated_count = treated;
-    point.allocation =
-        static_cast<double>(treated) / static_cast<double>(config.num_apps);
-    point.aggregate_throughput = run.aggregate_throughput_bps;
-    double nt = 0.0, nc = 0.0;
-    for (const LabUnit& unit : run.units) {
-      if (unit.treated) {
-        point.mu_treated_throughput += unit.throughput_bps;
-        point.mu_treated_retransmit += unit.retransmit_fraction;
-        nt += 1.0;
-      } else {
-        point.mu_control_throughput += unit.throughput_bps;
-        point.mu_control_retransmit += unit.retransmit_fraction;
-        nc += 1.0;
-      }
-    }
-    if (nt > 0.0) {
-      point.mu_treated_throughput /= nt;
-      point.mu_treated_retransmit /= nt;
-    }
-    if (nc > 0.0) {
-      point.mu_control_throughput /= nc;
-      point.mu_control_retransmit /= nc;
-    }
-    sweep[treated] = point;
-  });
-  return sweep;
-}
-
-core::Scenario make_lab_scenario(Treatment treatment, LabMetric metric,
-                                 const LabConfig& config) {
-  return [treatment, metric, config](double p, std::uint64_t seed) {
-    LabConfig run_config = config;
-    run_config.seed = seed;
-    const auto treated_count = static_cast<std::size_t>(
-        std::lround(p * static_cast<double>(config.num_apps)));
-    const LabRun run = run_lab(treatment, treated_count, run_config);
-
-    std::vector<core::Observation> observations;
-    observations.reserve(run.units.size());
-    for (std::size_t i = 0; i < run.units.size(); ++i) {
-      const LabUnit& unit = run.units[i];
-      core::Observation obs;
-      obs.unit = i;
-      obs.account = i;
-      obs.treated = unit.treated;
-      switch (metric) {
-        case LabMetric::kThroughput:
-          obs.outcome = unit.throughput_bps;
-          break;
-        case LabMetric::kRetransmitFraction:
-          obs.outcome = unit.retransmit_fraction;
-          break;
-        case LabMetric::kMeanRtt:
-          obs.outcome = unit.mean_rtt;
-          break;
-      }
-      observations.push_back(obs);
-    }
-    return observations;
-  };
 }
 
 }  // namespace xp::lab

@@ -1,17 +1,15 @@
 // Section 3 lab scenarios: experimental units are applications sharing
 // the dumbbell bottleneck; the treatment changes their transport behavior
 // (number of parallel connections, pacing, or congestion control). The
-// allocation sweep recreates Figures 2-3: every point on the x-axis is a
-// different A/B test of the same treatment.
+// registry publishes each treatment as a dumbbell/* scenario; sweeping a
+// spec over allocations recreates Figures 2-3, where every point on the
+// x-axis is a different A/B test of the same treatment.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "core/designs/gradual.h"
-#include "core/observation.h"
 #include "sim/dumbbell.h"
-#include "util/runner.h"
 
 namespace xp::lab {
 
@@ -20,8 +18,6 @@ enum class Treatment {
   kPacing,          ///< unpaced Reno -> paced Reno (Fig 2b)
   kBbrVsCubic,      ///< Cubic -> BBR (Fig 3)
 };
-
-const char* treatment_name(Treatment treatment) noexcept;
 
 struct LabConfig {
   sim::DumbbellConfig dumbbell;
@@ -47,34 +43,5 @@ struct LabRun {
 /// Run the scenario with `treated_count` of the apps in treatment.
 LabRun run_lab(Treatment treatment, std::size_t treated_count,
                const LabConfig& config);
-
-/// One point of the Figure 2/3 sweep.
-struct SweepPoint {
-  std::size_t treated_count = 0;
-  double allocation = 0.0;
-  double mu_treated_throughput = 0.0;
-  double mu_control_throughput = 0.0;
-  double mu_treated_retransmit = 0.0;
-  double mu_control_retransmit = 0.0;
-  double aggregate_throughput = 0.0;
-};
-
-/// Sweep the treated-app count 0..num_apps (the full Figure 2/3 series).
-/// Points fan across the process-wide runner; output is bit-for-bit
-/// identical at any thread count (each point owns a deterministic seed).
-std::vector<SweepPoint> run_allocation_sweep(Treatment treatment,
-                                             const LabConfig& config);
-
-/// Same sweep on an explicit runner (tests pin 1 vs N threads with this).
-std::vector<SweepPoint> run_allocation_sweep(Treatment treatment,
-                                             const LabConfig& config,
-                                             util::Runner& runner);
-
-enum class LabMetric { kThroughput, kRetransmitFraction, kMeanRtt };
-
-/// Adapt a lab scenario into the gradual-deployment framework: returns a
-/// callable producing app-level observations of `metric` at allocation p.
-core::Scenario make_lab_scenario(Treatment treatment, LabMetric metric,
-                                 const LabConfig& config);
 
 }  // namespace xp::lab

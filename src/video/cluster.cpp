@@ -6,6 +6,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "util/budget.h"
 #include "video/session_pool.h"
@@ -55,16 +56,23 @@ void validate(const ClusterConfig& config) {
   validate(config.faults);
 }
 
-namespace {
+ClusterResult run_paired_links(const ClusterConfig& config) {
+  // The record path is a collecting sink over the one simulation core,
+  // reserved from demand x horizon (plus Poisson slack); overflow beyond
+  // the reserve grows geometrically like any vector.
+  validate(config);
+  const double expected_sessions =
+      DemandModel(config.demand).expected_arrivals(config.days * 86400.0);
+  std::vector<SessionRecord> sessions;
+  sessions.reserve(static_cast<std::size_t>(expected_sessions * 1.08) + 1024);
+  ClusterResult result = run_paired_links(
+      config, [&sessions](const SessionRecord& r) { sessions.push_back(r); });
+  result.sessions = std::move(sessions);
+  return result;
+}
 
-/// Shared simulation core. `stream_sink` selects the mode: null
-/// materializes ClusterResult::sessions (the record path), non-null
-/// forwards each surviving record and leaves the vector empty. Telemetry
-/// fate is a pure per-record hash of (seed, session_id), so applying it
-/// at emit time — instead of compacting a materialized vector afterwards
-/// — yields bit-identical records, order, and fault tallies.
-ClusterResult run_paired_links_impl(const ClusterConfig& config,
-                                    const SessionSink* stream_sink) {
+ClusterResult run_paired_links(const ClusterConfig& config,
+                               const SessionSink& sink) {
   validate(config);
 
   // Resolve the arm policies once, up front — unknown names throw (with
@@ -129,18 +137,11 @@ ClusterResult run_paired_links_impl(const ClusterConfig& config,
                    stats::substream_seed(config.seed, 2))};
 
   ClusterResult result;
-  // Size the record reserve from demand x horizon (plus Poisson slack);
-  // overflow beyond it grows geometrically like any vector. Streaming
-  // mode never materializes records, so the O(sessions) reserve is gated
-  // to the record path — at fleet scale it would dominate peak memory.
-  if (stream_sink == nullptr) {
-    const double expected_sessions = demand.expected_arrivals(horizon);
-    result.sessions.reserve(
-        static_cast<std::size_t>(expected_sessions * 1.08) + 1024);
-  }
 
   // Per-record emit: apply the telemetry fate (drop / corrupt / keep),
-  // then forward to the stream sink or the record vector.
+  // then forward to the sink. The fate is a pure per-record hash of
+  // (seed, session_id), so applying it at emit time yields the same
+  // records, order, and fault tallies as filtering a finished vector.
   const TelemetryFault& telemetry = config.faults.telemetry;
   const bool has_telemetry_faults =
       telemetry.drop_probability > 0.0 || telemetry.corrupt_probability > 0.0;
@@ -169,11 +170,7 @@ ClusterResult run_paired_links_impl(const ClusterConfig& config,
           break;
       }
     }
-    if (stream_sink != nullptr) {
-      (*stream_sink)(*out);
-    } else {
-      result.sessions.push_back(*out);
-    }
+    sink(*out);
   };
   // Concurrency ~ per-link arrival rate x mean viewing duration at peak.
   const std::size_t expected_peak = static_cast<std::size_t>(
@@ -322,17 +319,6 @@ ClusterResult run_paired_links_impl(const ClusterConfig& config,
     pools[l].flush_all(emit);
   }
   return result;
-}
-
-}  // namespace
-
-ClusterResult run_paired_links(const ClusterConfig& config) {
-  return run_paired_links_impl(config, nullptr);
-}
-
-ClusterResult run_paired_links(const ClusterConfig& config,
-                               const SessionSink& sink) {
-  return run_paired_links_impl(config, &sink);
 }
 
 }  // namespace xp::video

@@ -129,13 +129,14 @@ ClusterResult run_paired_links(const ClusterConfig& config);
 /// applied, before the sink sees the row).
 using SessionSink = std::function<void(const SessionRecord&)>;
 
-/// Streaming form: identical simulation, but every record is handed to
-/// `sink` the moment it retires (or flushes at the horizon) and
+/// Streaming form, and the one simulation core: every record is handed
+/// to `sink` the moment it retires (or flushes at the horizon) and
 /// ClusterResult::sessions stays empty — peak memory is O(concurrent
-/// sessions), not O(total sessions). Records arrive in the same order as
-/// the vector overload's output; stats and hourly diagnostics are filled
-/// identically. This is the fleet-scale path (core/cell_accumulator.h
-/// folds the stream into hourly cells).
+/// sessions), not O(total sessions). The vector overload above is this
+/// call with a collecting sink, so records arrive in the same order as
+/// its output and stats and hourly diagnostics are identical. This is
+/// the fleet-scale path (core/cell_accumulator.h folds the stream into
+/// hourly cells).
 ClusterResult run_paired_links(const ClusterConfig& config,
                                const SessionSink& sink);
 

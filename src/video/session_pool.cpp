@@ -700,24 +700,12 @@ SessionRecord SessionPool::finalize(std::size_t i) const {
   return r;
 }
 
-void SessionPool::retire_finished(std::vector<SessionRecord>& out,
-                                  std::uint64_t& completed) {
-  // Done sessions live in the tail bucket, so retirement is a finalize
-  // sweep over a dense suffix plus one truncation — no per-slot
-  // swap-erase holes, and surviving slot order is untouched.
-  repartition();
-  const std::size_t alive_end = bucket_begin_[3 * policies_.size()];
-  const std::size_t n = state_.size();
-  for (std::size_t i = alive_end; i < n; ++i) {
-    out.push_back(finalize(i));
-    ++completed;
-  }
-  truncate(alive_end);
-}
-
 void SessionPool::retire_finished(
     const std::function<void(const SessionRecord&)>& sink,
     std::uint64_t& completed) {
+  // Done sessions live in the tail bucket, so retirement is a finalize
+  // sweep over a dense suffix plus one truncation — no per-slot
+  // swap-erase holes, and surviving slot order is untouched.
   repartition();
   const std::size_t alive_end = bucket_begin_[3 * policies_.size()];
   const std::size_t n = state_.size();
@@ -726,12 +714,6 @@ void SessionPool::retire_finished(
     ++completed;
   }
   truncate(alive_end);
-}
-
-void SessionPool::flush_all(std::vector<SessionRecord>& out) const {
-  for (std::size_t i = 0; i < state_.size(); ++i) {
-    out.push_back(finalize(i));
-  }
 }
 
 void SessionPool::flush_all(

@@ -204,22 +204,16 @@ class SessionPool {
   void advance_all(double dt, std::span<const double> alloc, double rtt,
                    double loss, StallSampler* stalls = nullptr);
 
-  /// Pass 4: finalize every kDone slot into `out` (bumping `completed`)
-  /// and recycle the slots by popping the done bucket off the tail.
-  void retire_finished(std::vector<SessionRecord>& out,
-                       std::uint64_t& completed);
-
-  /// Sink form of pass 4: streaming consumers (core/cell_accumulator.h)
-  /// fold each record as it retires instead of materializing a vector.
-  /// Records are produced in the same order as the vector overload.
+  /// Pass 4: hand every kDone slot's finalized record to `sink` (bumping
+  /// `completed`) and recycle the slots by popping the done bucket off
+  /// the tail. Streaming consumers (core/cell_accumulator.h) fold each
+  /// record as it retires; collectors push it onto a vector.
   void retire_finished(const std::function<void(const SessionRecord&)>& sink,
                        std::uint64_t& completed);
 
-  /// Finalize every still-active slot (partial telemetry is valid; the
-  /// paper's datasets flush the same way at the experiment boundary).
-  void flush_all(std::vector<SessionRecord>& out) const;
-
-  /// Sink form of the flush, same record order as the vector overload.
+  /// Finalize every still-active slot into `sink` (partial telemetry is
+  /// valid; the paper's datasets flush the same way at the experiment
+  /// boundary).
   void flush_all(const std::function<void(const SessionRecord&)>& sink) const;
 
   // ----- per-slot accessors (the Session wrapper and tests) ----------

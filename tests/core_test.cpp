@@ -1,64 +1,21 @@
-// Experiment framework: assignment, analysis pipelines, estimator
-// behaviour on synthetic worlds with *known* ground truth.
+// Experiment framework: analysis pipelines, estimator behaviour on
+// synthetic worlds with *known* ground truth.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "core/analysis.h"
-#include "core/assignment.h"
 #include "core/designs/gradual.h"
 #include "core/estimands.h"
+#include "lab/experiment.h"
+#include "lab/registry.h"
 #include "stats/rng.h"
 
 namespace xp::core {
 namespace {
-
-TEST(Assignment, HashAssignDeterministic) {
-  for (std::uint64_t unit = 0; unit < 50; ++unit) {
-    EXPECT_EQ(hash_assign(unit, 7, 0.3), hash_assign(unit, 7, 0.3));
-  }
-}
-
-TEST(Assignment, HashAssignFrequency) {
-  int treated = 0;
-  const int n = 100000;
-  for (int unit = 0; unit < n; ++unit) treated += hash_assign(unit, 42, 0.2);
-  EXPECT_NEAR(static_cast<double>(treated) / n, 0.2, 0.01);
-}
-
-TEST(Assignment, HashAssignSaltChangesBuckets) {
-  int moved = 0;
-  for (int unit = 0; unit < 1000; ++unit) {
-    moved += hash_assign(unit, 1, 0.5) != hash_assign(unit, 2, 0.5);
-  }
-  EXPECT_GT(moved, 300);
-}
-
-TEST(Assignment, HashAssignEdges) {
-  EXPECT_FALSE(hash_assign(1, 1, 0.0));
-  EXPECT_TRUE(hash_assign(1, 1, 1.0));
-}
-
-TEST(Assignment, BernoulliFrequency) {
-  const auto a = bernoulli_assignment(50000, 0.95, 3);
-  std::size_t treated = 0;
-  for (bool t : a) treated += t;
-  EXPECT_NEAR(static_cast<double>(treated) / 50000.0, 0.95, 0.01);
-}
-
-TEST(Assignment, CompleteAssignmentExactCount) {
-  const auto a = complete_assignment(100, 0.3, 5);
-  std::size_t treated = 0;
-  for (bool t : a) treated += t;
-  EXPECT_EQ(treated, 30u);
-}
-
-TEST(Assignment, AlternatingCoversBothArms) {
-  const auto a = alternating_assignment(5, 9);
-  int flips = 0;
-  for (std::size_t i = 1; i < a.size(); ++i) flips += a[i] != a[i - 1];
-  EXPECT_EQ(flips, 4);
-}
 
 // Build a synthetic SUTVA world: outcome = base(hour) + hour shock +
 // effect * treated + noise. The hour shock is shared by every session in
@@ -189,90 +146,169 @@ TEST(EffectEstimate, RelativeHandlesZeroBaseline) {
   EXPECT_DOUBLE_EQ(e.relative(), 0.5);
 }
 
-// --- Gradual deployment on synthetic worlds ---
+// --- Gradual deployment on synthetic worlds, through the pipeline ---
+//
+// Known-truth worlds as test-local DataSources: run(p, seed) draws 4000
+// units, each treated w.p. p, into one "outcome" column. A spec sweeps
+// them like any registry scenario; gradual/contrast reads every step and
+// sutva_tests runs the battery off its rows.
 
-// SUTVA world scenario: constant effect, no interference.
-Scenario sutva_scenario(double effect) {
-  return [effect](double p, std::uint64_t seed) {
-    stats::Rng rng(seed);
-    std::vector<Observation> rows;
-    for (int i = 0; i < 4000; ++i) {
-      Observation obs;
-      obs.unit = i;
-      obs.treated = rng.bernoulli(p);
-      obs.outcome = 50.0 + (obs.treated ? effect : 0.0) +
-                    rng.normal(0.0, 3.0);
-      rows.push_back(obs);
-    }
-    return rows;
-  };
+using World = std::vector<Observation> (*)(double p, std::uint64_t seed);
+
+class SyntheticWorld final : public lab::DataSource {
+ public:
+  SyntheticWorld(std::string name, World world)
+      : name_(std::move(name)), world_(world) {}
+  std::string_view name() const noexcept override { return name_; }
+  double default_allocation() const noexcept override { return 0.5; }
+  lab::ObservationTable run(double p, std::uint64_t seed) const override {
+    lab::ObservationTable table;
+    table.add_column("outcome", world_(p, seed));
+    return table;
+  }
+
+ private:
+  std::string name_;
+  World world_;
+};
+
+// SUTVA world: constant effect of +5, no interference.
+std::vector<Observation> sutva_draw(double p, std::uint64_t seed) {
+  stats::Rng rng(seed);
+  std::vector<Observation> rows;
+  for (int i = 0; i < 4000; ++i) {
+    Observation obs;
+    obs.unit = i;
+    obs.account = i;
+    obs.treated = rng.bernoulli(p);
+    obs.outcome = 50.0 + (obs.treated ? 5.0 : 0.0) + rng.normal(0.0, 3.0);
+    rows.push_back(obs);
+  }
+  return rows;
 }
 
 // Zero-sum congested world: treated units grab share from controls, total
 // fixed — the parallel-connections phenomenon in miniature.
-Scenario zero_sum_scenario() {
-  return [](double p, std::uint64_t seed) {
-    stats::Rng rng(seed);
-    std::vector<Observation> rows;
-    const int n = 4000;
-    std::vector<bool> arms(n);
-    double weight_total = 0.0;
-    for (int i = 0; i < n; ++i) {
-      arms[i] = rng.bernoulli(p);
-      weight_total += arms[i] ? 2.0 : 1.0;
-    }
-    const double capacity = 1000.0 * n;
-    for (int i = 0; i < n; ++i) {
-      Observation obs;
-      obs.unit = i;
-      obs.treated = arms[i];
-      obs.outcome = capacity * (arms[i] ? 2.0 : 1.0) / weight_total +
-                    rng.normal(0.0, 20.0);
-      rows.push_back(obs);
-    }
-    return rows;
-  };
+std::vector<Observation> zero_sum_draw(double p, std::uint64_t seed) {
+  stats::Rng rng(seed);
+  std::vector<Observation> rows;
+  const int n = 4000;
+  std::vector<bool> arms(n);
+  double weight_total = 0.0;
+  for (int i = 0; i < n; ++i) {
+    arms[i] = rng.bernoulli(p);
+    weight_total += arms[i] ? 2.0 : 1.0;
+  }
+  const double capacity = 1000.0 * n;
+  for (int i = 0; i < n; ++i) {
+    Observation obs;
+    obs.unit = i;
+    obs.account = i;
+    obs.treated = arms[i];
+    obs.outcome = capacity * (arms[i] ? 2.0 : 1.0) / weight_total +
+                  rng.normal(0.0, 20.0);
+    rows.push_back(obs);
+  }
+  return rows;
+}
+
+constexpr std::size_t kRampWorlds = 8;
+
+/// Sweep a synthetic world from the pre-deployment p = 0 through
+/// {0.1, 0.5, 0.9}, kRampWorlds replicate worlds per step, and read it
+/// with gradual/contrast.
+EstimateTable gradual_ramp(const char* scenario) {
+  static const bool registered = [] {
+    const auto add = [](const char* name, World world) {
+      lab::register_scenario(name, [name, world](const lab::SourceOptions&) {
+        return std::make_unique<SyntheticWorld>(name, world);
+      });
+    };
+    add("test/sutva_world", sutva_draw);
+    add("test/zero_sum_world", zero_sum_draw);
+    return true;
+  }();
+  (void)registered;
+  lab::ExperimentSpec spec;
+  spec.scenario = scenario;
+  spec.allocations = {0.0, 0.1, 0.5, 0.9};
+  spec.replicates = kRampWorlds;
+  spec.estimators = {"gradual/contrast"};
+  spec.seed = 3;
+  return lab::run_experiment(spec).estimates_for("gradual/contrast");
 }
 
 TEST(Gradual, SutvaWorldShowsNoInterference) {
-  GradualOptions options;
-  options.allocations = {0.1, 0.5, 0.9};
-  const GradualReport report =
-      run_gradual_deployment(sutva_scenario(5.0), options);
-  ASSERT_EQ(report.steps.size(), 3u);
-  for (const auto& step : report.steps) {
-    EXPECT_NEAR(step.tau.estimate, 5.0, 0.6);
+  const EstimateTable table = gradual_ramp("test/sutva_world");
+  std::size_t flagged = 0;
+  for (std::size_t r = 0; r < kRampWorlds; ++r) {
+    for (const char* step : {"tau@0.1", "tau@0.5", "tau@0.9", "tte"}) {
+      EXPECT_NEAR(table.row(std::string("outcome/") + step)
+                      .replicates[r]
+                      .estimate,
+                  5.0, 0.6)
+          << step << " in world " << r;
+    }
+    flagged += sutva_tests(table, "outcome", r).interference_detected;
   }
-  EXPECT_FALSE(report.tests.interference_detected);
-  EXPECT_NEAR(report.tte.estimate, 5.0, 0.6);
+  // The battery is ~7 tests at the 5% level, so a SUTVA world trips it
+  // by chance in roughly a quarter of the worlds — never in most.
+  EXPECT_LE(flagged, kRampWorlds / 2);
 }
 
 TEST(Gradual, ZeroSumWorldDetectsInterference) {
-  GradualOptions options;
-  options.allocations = {0.1, 0.5, 0.9};
-  const GradualReport report =
-      run_gradual_deployment(zero_sum_scenario(), options);
-  ASSERT_EQ(report.steps.size(), 3u);
-  // The A/B effect looks big at every allocation...
-  for (const auto& step : report.steps) {
-    EXPECT_GT(step.tau.estimate, 200.0);
+  const EstimateTable table = gradual_ramp("test/zero_sum_world");
+  const auto effect = [&](const char* label, std::size_t r) {
+    return table.row(std::string("outcome/") + label).replicates[r];
+  };
+  for (std::size_t r = 0; r < kRampWorlds; ++r) {
+    SCOPED_TRACE(r);
+    // The A/B effect looks big at every allocation...
+    for (const char* step : {"tau@0.1", "tau@0.5", "tau@0.9"}) {
+      EXPECT_GT(effect(step, r).estimate, 200.0) << step;
+    }
+    // ...but the true TTE is ~0 and spillover is negative and
+    // significant. (The ramp tops out at p=0.9, where mu_T = 2/(1.9) of
+    // baseline, so the top-step "TTE" legitimately sits ~5% above zero.)
+    EXPECT_NEAR(effect("tte", r).relative(), 0.0, 0.07);
+    const SutvaTests tests = sutva_tests(table, "outcome", r);
+    EXPECT_TRUE(tests.interference_detected);
+    EXPECT_GT(tests.significant_spillovers, 0u);
+    EXPECT_LT(effect("spillover@0.9", r).estimate, 0.0);
+    // tau(p) shrinks as p grows: 2C/n winners dilute.
+    EXPECT_GT(effect("tau@0.1", r).estimate, effect("tau@0.9", r).estimate);
   }
-  // ...but the true TTE is ~0 and spillover is negative and significant.
-  // (The ramp tops out at p=0.9, where mu_T = 2/(1.9) of baseline, so the
-  // final-step "TTE" proxy legitimately sits ~5% above zero.)
-  EXPECT_NEAR(report.tte.relative(), 0.0, 0.07);
-  EXPECT_TRUE(report.tests.interference_detected);
-  EXPECT_GT(report.tests.significant_spillovers, 0u);
-  // tau(p) shrinks as p grows: 2C/n winners dilute.
-  EXPECT_GT(report.steps.front().tau.estimate,
-            report.steps.back().tau.estimate);
 }
 
-TEST(Gradual, EmptyAllocationsThrow) {
-  GradualOptions options;
-  options.allocations.clear();
-  EXPECT_THROW(run_gradual_deployment(sutva_scenario(1.0), options),
-               std::invalid_argument);
+TEST(Gradual, SutvaTestsSkipNullSteps) {
+  // A step too thin to estimate (null row: no standard error) must not
+  // count as a tau inequality against the real steps.
+  EstimateTable table;
+  table.estimator = "gradual/contrast";
+  const auto add = [&](const char* label, double allocation, double estimate,
+                       double std_error, bool significant) {
+    EstimateRow row;
+    row.metric = "outcome";
+    row.label = label;
+    row.allocation = allocation;
+    EffectEstimate e;
+    e.estimate = estimate;
+    e.std_error = std_error;
+    e.significant = significant;
+    row.replicates.push_back(e);
+    table.add_row(std::move(row));
+  };
+  add("tte", 0.9, 5.0, 0.1, true);
+  add("tau@0.1", 0.1, 0.0, 0.0, false);  // null
+  add("tau@0.5", 0.5, 5.0, 0.2, true);
+  add("spillover@0.5", 0.5, 0.1, 0.2, false);
+  add("tau@0.9", 0.9, 5.1, 0.2, true);
+  add("spillover@0.9", 0.9, 3.0, 0.2, true);
+  const SutvaTests tests = sutva_tests(table, "outcome");
+  EXPECT_NEAR(tests.max_tau_inequality_z, 0.1 / std::sqrt(0.08), 1e-12);
+  EXPECT_EQ(tests.significant_spillovers, 1u);
+  EXPECT_NEAR(tests.max_partial_vs_average_z, 0.1 / std::sqrt(0.05), 1e-12);
+  EXPECT_TRUE(tests.interference_detected);
 }
 
 TEST(EstimandNames, AllNamed) {

@@ -1,16 +1,17 @@
 // End-to-end integration: run the paired-link video world and check that
 // the full analysis stack reproduces the *structure* of the paper's
-// Section 4 findings; run the lab world through the gradual-deployment
-// machinery; exercise the emulated switchback/event-study designs.
+// Section 4 findings; sweep the lab world through the gradual-deployment
+// estimator; exercise the emulated switchback/event-study designs.
 #include <cmath>
 #include <gtest/gtest.h>
 
-#include "core/aa_test.h"
+#include "core/analysis.h"
 #include "core/designs/event_study.h"
+#include "core/designs/gradual.h"
 #include "core/designs/paired_link.h"
 #include "core/designs/switchback.h"
 #include "core/session_metrics.h"
-#include "lab/scenarios.h"
+#include "lab/experiment.h"
 #include "video/cluster.h"
 
 namespace xp {
@@ -29,6 +30,11 @@ const video::ClusterResult& experiment_run() {
     return video::run_paired_links(config);
   }();
   return result;
+}
+
+/// One metric column of the shared run, as the designs consume it.
+std::vector<core::Observation> column(core::Metric metric) {
+  return core::select(experiment_run().sessions, metric, core::RowFilter{});
 }
 
 TEST(PairedLinkWorld, ProducesBalancedLinks) {
@@ -69,9 +75,8 @@ TEST(PairedLinkWorld, CappedLinkLessCongested) {
 }
 
 TEST(PairedLinkAnalysis, SmokingGunStructure) {
-  const auto& run = experiment_run();
-  const core::PairedLinkReport report = core::analyze_paired_link(
-      run.sessions, core::Metric::kMinRtt);
+  const core::PairedLinkReport report =
+      core::analyze_paired_link(column(core::Metric::kMinRtt));
   // Within-link (naive) differences are tiny compared to the cross-link
   // (TTE) difference: treatment and control share the queue.
   const double within0 = std::fabs(report.cell_mean[0][1] -
@@ -91,22 +96,18 @@ TEST(PairedLinkAnalysis, SmokingGunStructure) {
 }
 
 TEST(PairedLinkAnalysis, BitrateDropsRoughlyAQuarter) {
-  const auto& run = experiment_run();
-  const auto report = core::analyze_paired_link(
-      run.sessions, core::Metric::kBitrate);
+  const auto report =
+      core::analyze_paired_link(column(core::Metric::kBitrate));
   EXPECT_LT(report.tte.relative(), -0.15);
   EXPECT_GT(report.tte.relative(), -0.45);
 }
 
 TEST(PairedLinkAnalysis, AllMetricsProduceFiniteEstimates) {
-  const auto& run = experiment_run();
-  const auto reports = core::analyze_all_metrics(run.sessions);
-  EXPECT_EQ(reports.size(), std::size(core::kAllMetrics));
-  for (const auto& report : reports) {
-    EXPECT_TRUE(std::isfinite(report.tte.estimate))
-        << metric_name(report.metric);
+  for (core::Metric metric : core::kAllMetrics) {
+    const auto report = core::analyze_paired_link(column(metric));
+    EXPECT_TRUE(std::isfinite(report.tte.estimate)) << metric_name(metric);
     EXPECT_TRUE(std::isfinite(report.spillover.std_error))
-        << metric_name(report.metric);
+        << metric_name(metric);
     EXPECT_LE(report.tte.ci_low, report.tte.ci_high);
   }
 }
@@ -123,32 +124,27 @@ TEST(SelectAdapter, FiltersAndRelabels) {
 }
 
 TEST(Switchback, EstimatesTteCloseToPairedLink) {
-  const auto& run = experiment_run();
-  const auto paired =
-      core::analyze_paired_link(run.sessions, core::Metric::kMinRtt);
+  const auto min_rtt = column(core::Metric::kMinRtt);
+  const auto paired = core::analyze_paired_link(min_rtt);
   core::SwitchbackOptions options;
   options.day_treated = {true, false};  // 2-day run
-  const auto tte = core::switchback_tte(run.sessions,
-                                        core::Metric::kMinRtt, options);
+  const auto tte = core::switchback_tte(min_rtt, options);
   // Same sign; magnitudes comparable (wide tolerance: 1 day per arm).
   EXPECT_LT(tte.estimate, 0.0);
   EXPECT_NEAR(tte.relative(), paired.tte.relative(), 0.35);
 }
 
 TEST(Switchback, RequiresAssignment) {
-  const auto& run = experiment_run();
   core::SwitchbackOptions options;  // empty day_treated
-  EXPECT_THROW(core::switchback_tte(run.sessions, core::Metric::kMinRtt,
-                                    options),
+  EXPECT_THROW(core::switchback_tte(column(core::Metric::kMinRtt), options),
                std::invalid_argument);
 }
 
 TEST(EventStudy, EstimatesTteWithSign) {
-  const auto& run = experiment_run();
   core::EventStudyOptions options;
   options.switch_day = 1;  // day 0 control, day 1 treated
-  const auto tte = core::event_study_tte(run.sessions,
-                                         core::Metric::kMinRtt, options);
+  const auto tte =
+      core::event_study_tte(column(core::Metric::kMinRtt), options);
   EXPECT_LT(tte.estimate, 0.0);
 }
 
@@ -161,61 +157,70 @@ TEST(AaCalibration, LinkSimilarityDetectsRebufferImbalance) {
   config.treat_probability[0] = 0.0;
   config.treat_probability[1] = 0.0;
   const auto baseline = video::run_paired_links(config);
-  const auto rows = core::link_similarity(baseline.sessions);
-  EXPECT_EQ(rows.size(), std::size(core::kAllMetrics));
+  // The aa/null read: link 1's control traffic vs link 2's, hourly FE.
+  core::RowFilter link0;
+  link0.link = 0;
+  link0.treated = 0;
+  core::RowFilter link1;
+  link1.link = 1;
+  link1.treated = 0;
   // Congestion metrics should NOT differ between identical links...
-  for (const auto& row : rows) {
-    if (row.metric == core::Metric::kMinRtt ||
-        row.metric == core::Metric::kBitrate) {
-      EXPECT_LT(std::fabs(row.difference.relative()), 0.10)
-          << metric_name(row.metric);
-    }
+  for (core::Metric metric : {core::Metric::kMinRtt, core::Metric::kBitrate}) {
+    const auto rows = core::cross_cell_contrast(
+        core::select(baseline.sessions, metric, core::RowFilter{}), link0,
+        link1);
+    EXPECT_LT(std::fabs(core::hourly_fe_analysis(rows).relative()), 0.10)
+        << metric_name(metric);
   }
+}
+
+// The Section 3 lab at the paper's full 10 Gb/s scale (2.4 s warmup + 8 s
+// window): per-flow Reno shares are tight there, giving the SUTVA
+// z-tests the power they have in the real lab. Every interior step keeps
+// at least two of the ten apps per arm, since gradual/contrast reads each
+// world on its own.
+const lab::ExperimentReport& lab_ramp() {
+  static const lab::ExperimentReport report = [] {
+    lab::ExperimentSpec spec;
+    spec.scenario = "dumbbell/two_connections";
+    spec.tuning.duration_scale = 0.8;
+    spec.allocations = {0.0, 0.2, 0.5, 0.8, 1.0};
+    spec.estimators = {"gradual/contrast"};
+    return lab::run_experiment(spec);
+  }();
+  return report;
 }
 
 TEST(LabScenario, GradualDetectsParallelConnectionInterference) {
-  // Run at the paper's full 10 Gb/s scale: per-flow Reno shares are tight
-  // there, giving the SUTVA z-tests the power they have in the real lab.
-  lab::LabConfig config;
-  config.dumbbell.warmup = 2.0;
-  config.dumbbell.duration = 8.0;
-  const auto scenario = lab::make_lab_scenario(
-      lab::Treatment::kTwoConnections, lab::LabMetric::kThroughput, config);
-  core::GradualOptions options;
-  options.allocations = {0.2, 0.5, 0.8};
-  options.replications = 3;
-  const auto report = core::run_gradual_deployment(scenario, options);
-  ASSERT_EQ(report.steps.size(), 3u);
+  const auto& table = lab_ramp().estimates_for("gradual/contrast");
+  const auto tau = [&](const char* step) {
+    return table.row(std::string("avg throughput/tau@") + step).effect();
+  };
   // Two connections look like a clear win in every A/B step...
-  for (const auto& step : report.steps) {
-    EXPECT_GT(step.tau.relative(), 0.2);
+  for (const char* step : {"0.2", "0.5", "0.8"}) {
+    EXPECT_GT(tau(step).relative(), 0.2) << step;
   }
   // ...and the apparent win shrinks as the allocation grows...
-  EXPECT_GT(report.steps.front().tau.estimate,
-            report.steps.back().tau.estimate);
+  EXPECT_GT(tau("0.2").estimate, tau("0.8").estimate);
   // ...but TTE is ~0 (same aggregate capacity), and the SUTVA battery
   // flags the interference.
-  EXPECT_NEAR(report.tte.relative(), 0.0, 0.25);
-  EXPECT_TRUE(report.tests.interference_detected);
+  EXPECT_NEAR(table.row("avg throughput/tte").effect().relative(), 0.0, 0.25);
+  EXPECT_TRUE(core::sutva_tests(table, "avg throughput").interference_detected);
 }
 
 TEST(LabSweep, ParallelConnectionsEndpointsEqual) {
-  lab::LabConfig config;
-  config.dumbbell.bottleneck_bps = 2e9;
-  config.dumbbell.warmup = 2.0;
-  config.dumbbell.duration = 8.0;
-  config.num_apps = 6;
-  const auto sweep =
-      lab::run_allocation_sweep(lab::Treatment::kTwoConnections, config);
-  ASSERT_EQ(sweep.size(), 7u);
+  const auto& report = lab_ramp();
+  const auto aggregate = [&](std::size_t a) {
+    return report.cell(a, 0).table.aggregate("aggregate_throughput_bps");
+  };
   // All-control vs all-treated aggregate throughput: no change (TTE = 0).
-  EXPECT_NEAR(sweep.front().aggregate_throughput,
-              sweep.back().aggregate_throughput,
-              0.1 * sweep.front().aggregate_throughput);
+  const std::size_t last = report.allocations.size() - 1;
+  EXPECT_NEAR(aggregate(0), aggregate(last), 0.1 * aggregate(0));
   // Interior points: treated units beat control units.
-  for (std::size_t i = 1; i + 1 < sweep.size(); ++i) {
-    EXPECT_GT(sweep[i].mu_treated_throughput,
-              1.3 * sweep[i].mu_control_throughput);
+  for (std::size_t a = 1; a < last; ++a) {
+    const auto& rows = report.cell(a, 0).table.column("avg throughput");
+    EXPECT_GT(core::arm_mean(rows, true), 1.3 * core::arm_mean(rows, false))
+        << report.allocations[a];
   }
 }
 

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "core/designs/gradual.h"
 #include "digest.h"
 #include "lab/experiment.h"
 #include "lab/registry.h"
@@ -278,23 +277,6 @@ TEST(Pipeline, PolicyScenariosRunEndToEndThroughEstimators) {
     ASSERT_FALSE(row.replicates.empty());
     EXPECT_TRUE(std::isfinite(row.effect().estimate));
     EXPECT_LE(row.effect().ci_low, row.effect().ci_high);
-  }
-}
-
-TEST(Pipeline, RegistryScenarioDrivesTheGradualDesign) {
-  // The unified seam: a registered backend feeds a core/ design directly.
-  std::shared_ptr<const lab::DataSource> source =
-      lab::make_scenario("dumbbell/two_connections", smoke_options());
-  const core::Scenario scenario =
-      lab::as_scenario(source, "avg throughput");
-  core::GradualOptions options;
-  options.allocations = {0.3, 0.7};
-  options.replications = 2;
-  const auto report = core::run_gradual_deployment(scenario, options);
-  ASSERT_EQ(report.steps.size(), 2u);
-  for (const auto& step : report.steps) {
-    EXPECT_GT(step.mu_treated, 0.0);
-    EXPECT_GT(step.mu_control, 0.0);
   }
 }
 

@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <vector>
 
+#include "lab/experiment.h"
 #include "util/runner.h"
-#include "lab/scenarios.h"
 #include "stats/bootstrap.h"
 #include "stats/descriptive.h"
 
@@ -133,30 +135,35 @@ TEST(Runner, NestedParallelForCompletes) {
 }
 
 TEST(Runner, SweepIsBitIdenticalAcrossThreadCounts) {
-  lab::LabConfig config;
-  config.dumbbell.bottleneck_bps = 200e6;
-  config.dumbbell.warmup = 0.2;
-  config.dumbbell.duration = 0.8;
-  config.num_apps = 4;
+  // The Figure 2 lab sweep through the pipeline: eleven independent
+  // simulator cells, one per treated count, fanned across the runner.
+  lab::ExperimentSpec spec;
+  spec.scenario = "dumbbell/two_connections";
+  spec.tuning.duration_scale = 0.02;
+  for (int treated = 0; treated <= 10; ++treated) {
+    spec.allocations.push_back(treated / 10.0);
+  }
 
   util::Runner serial(1);
   util::Runner pool(4);
-  const auto sweep1 =
-      lab::run_allocation_sweep(lab::Treatment::kTwoConnections, config,
-                                serial);
-  const auto sweepN =
-      lab::run_allocation_sweep(lab::Treatment::kTwoConnections, config,
-                                pool);
+  const auto sweep1 = lab::run_experiment(spec, serial);
+  const auto sweepN = lab::run_experiment(spec, pool);
 
-  ASSERT_EQ(sweep1.size(), sweepN.size());
-  for (std::size_t i = 0; i < sweep1.size(); ++i) {
-    EXPECT_EQ(sweep1[i].treated_count, sweepN[i].treated_count);
-    // Bit-for-bit, not approximately: the determinism contract.
-    EXPECT_EQ(sweep1[i].mu_treated_throughput, sweepN[i].mu_treated_throughput);
-    EXPECT_EQ(sweep1[i].mu_control_throughput, sweepN[i].mu_control_throughput);
-    EXPECT_EQ(sweep1[i].mu_treated_retransmit, sweepN[i].mu_treated_retransmit);
-    EXPECT_EQ(sweep1[i].mu_control_retransmit, sweepN[i].mu_control_retransmit);
-    EXPECT_EQ(sweep1[i].aggregate_throughput, sweepN[i].aggregate_throughput);
+  ASSERT_EQ(sweep1.cells.size(), sweepN.cells.size());
+  for (std::size_t i = 0; i < sweep1.cells.size(); ++i) {
+    const auto& a = sweep1.cells[i].table;
+    const auto& b = sweepN.cells[i].table;
+    ASSERT_EQ(a.metrics, b.metrics);
+    for (std::size_t c = 0; c < a.columns.size(); ++c) {
+      ASSERT_EQ(a.columns[c].size(), b.columns[c].size());
+      for (std::size_t r = 0; r < a.columns[c].size(); ++r) {
+        EXPECT_EQ(a.columns[c][r].treated, b.columns[c][r].treated);
+        // Bit-for-bit, not approximately: the determinism contract.
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a.columns[c][r].outcome),
+                  std::bit_cast<std::uint64_t>(b.columns[c][r].outcome));
+      }
+    }
+    EXPECT_EQ(a.aggregates, b.aggregates);
   }
 }
 

@@ -403,6 +403,9 @@ TEST(PoolReference, PartitionedTickMatchesSwitchPerSlotReference) {
     std::uint64_t next_id = 0;
     std::vector<double> demands, alloc, grant_by_id;
     std::vector<SessionRecord> pool_records, ref_records;
+    const auto collect = [&pool_records](const SessionRecord& r) {
+      pool_records.push_back(r);
+    };
     std::uint64_t completed = 0;
 
     for (std::size_t t = 0; t < ticks; ++t) {
@@ -456,12 +459,12 @@ TEST(PoolReference, PartitionedTickMatchesSwitchPerSlotReference) {
       pool.check_invariants();  // any build, not just Debug
       ref.advance_all(dt, grant_by_id, rtt, loss);
 
-      pool.retire_finished(pool_records, completed);
+      pool.retire_finished(collect, completed);
       ref.retire_finished(ref_records);
       ASSERT_EQ(pool_records.size(), ref_records.size()) << "tick " << t;
     }
 
-    pool.flush_all(pool_records);
+    pool.flush_all(collect);
     ref.flush_all(ref_records);
     ASSERT_EQ(pool_records.size(), ref_records.size());
     ASSERT_GT(completed, 0u);

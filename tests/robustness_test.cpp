@@ -350,6 +350,13 @@ TEST(SpecValidation, NamesTheOffendingField) {
   spec.replicates = 0;
   expect_rejected(spec, "replicates");
   spec.replicates = 1;
+  for (double scale :
+       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    spec.tuning.duration_scale = scale;
+    expect_rejected(spec, "tuning.duration_scale");
+  }
+  spec.tuning.duration_scale = 1.0;
   spec.allocations = {};
   expect_rejected(spec, "allocations");
   spec.allocations = {1.5};
@@ -375,6 +382,25 @@ TEST(SpecValidation, RunExperimentRejectsInvalidSpecsBeforeSimulating) {
   spec = synthetic_spec("test/clean");
   spec.allocations = {0.4, 0.4};
   EXPECT_THROW(lab::run_experiment(spec), std::invalid_argument);
+  // A bad horizon scale is refused naming the spec field before any
+  // source is built — trace/self_calibration simulates a whole week
+  // while it is constructed, where the scale would otherwise surface as
+  // a backend error ("days must be positive").
+  for (double scale : {0.0, -0.5, std::numeric_limits<double>::quiet_NaN()}) {
+    spec = synthetic_spec("trace/self_calibration");
+    spec.tuning.duration_scale = scale;
+    try {
+      lab::run_experiment(spec);
+      FAIL() << "expected std::invalid_argument for scale " << scale;
+    } catch (const std::invalid_argument& e) {
+      expect_message_names(e, "tuning.duration_scale");
+    }
+  }
+  spec = synthetic_spec("test/clean");
+  spec.tuning.duration_scale = 0.0;
+  const std::uint64_t runs_before = test_source_runs().load();
+  EXPECT_THROW(lab::run_experiment(spec), std::invalid_argument);
+  EXPECT_EQ(test_source_runs().load(), runs_before);
   // An empty allocation list is resolved from the source default, not
   // rejected.
   spec = synthetic_spec("test/clean");

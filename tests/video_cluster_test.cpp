@@ -468,7 +468,9 @@ TEST(SessionPool, PolicyTableDispatchesPerSlot) {
     pool.gather_demand(demands, desired);
     alloc.assign(pool.size(), 50e6);
     pool.advance_all(1.0, alloc, 0.03, 0.0);
-    pool.retire_finished(records, completed);
+    pool.retire_finished(
+        [&](const video::SessionRecord& r) { records.push_back(r); },
+        completed);
   }
   ASSERT_EQ(pool.size(), 2u);
   // Hybrid: the buffer hovers one playback tick under its ceiling (fill,
@@ -504,7 +506,9 @@ TEST(SessionPool, SlotRecyclingPreservesSurvivorState) {
     pool.gather_demand(demands, desired);
     alloc.assign(pool.size(), 30e6);
     pool.advance_all(1.0, alloc, 0.03, 0.0);
-    pool.retire_finished(records, completed);
+    pool.retire_finished(
+        [&](const video::SessionRecord& r) { records.push_back(r); },
+        completed);
   }
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].session_id, 1u);

@@ -12,11 +12,15 @@
 // can simply re-invoke until the exit code clears. Kill it at any
 // moment: with --journal, completed cells are already on disk and the
 // next invocation resumes instead of restarting.
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "core/estimator.h"
@@ -67,6 +71,22 @@ std::vector<std::string> split_csv(const std::string& csv) {
   return out;
 }
 
+/// Parse the whole token as a number; a malformed or partly consumed
+/// token ("O.95", "5k", "") is a usage error naming the flag and token,
+/// never a silent zero or a truncated value.
+template <typename T>
+T parse_number(const char* argv0, const char* flag, std::string_view token) {
+  T value{};
+  const char* end = token.data() + token.size();
+  const auto [ptr, error] = std::from_chars(token.data(), end, value);
+  if (error != std::errc{} || ptr != end) {
+    std::fprintf(stderr, "%s: %s: malformed number '%.*s'\n", argv0, flag,
+                 static_cast<int>(token.size()), token.data());
+    std::exit(2);
+  }
+  return value;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -99,20 +119,24 @@ int main(int argc, char** argv) {
       journal.directory = value();
     } else if (std::strcmp(argv[i], "--allocations") == 0) {
       for (const std::string& token : split_csv(value())) {
-        spec.allocations.push_back(std::atof(token.c_str()));
+        spec.allocations.push_back(
+            parse_number<double>(argv[0], "--allocations", token));
       }
     } else if (std::strcmp(argv[i], "--replicates") == 0) {
-      spec.replicates = std::strtoull(value(), nullptr, 10);
+      spec.replicates =
+          parse_number<std::size_t>(argv[0], "--replicates", value());
     } else if (std::strcmp(argv[i], "--estimators") == 0) {
       for (std::string& token : split_csv(value())) {
         spec.estimators.push_back(std::move(token));
       }
     } else if (std::strcmp(argv[i], "--seed") == 0) {
-      spec.seed = std::strtoull(value(), nullptr, 10);
+      spec.seed = parse_number<std::uint64_t>(argv[0], "--seed", value());
     } else if (std::strcmp(argv[i], "--duration-scale") == 0) {
-      spec.tuning.duration_scale = std::atof(value());
+      spec.tuning.duration_scale =
+          parse_number<double>(argv[0], "--duration-scale", value());
     } else if (std::strcmp(argv[i], "--budget") == 0) {
-      spec.tuning.budget.max_work_units = std::strtoull(value(), nullptr, 10);
+      spec.tuning.budget.max_work_units =
+          parse_number<std::uint64_t>(argv[0], "--budget", value());
     } else if (std::strcmp(argv[i], "--trace-file") == 0) {
       spec.tuning.trace_path = value();
     } else if (std::strcmp(argv[i], "--streaming") == 0) {
@@ -124,8 +148,9 @@ int main(int argc, char** argv) {
       } else if (mode == "skip") {
         spec.on_failure = xp::lab::FailurePolicy::skip();
       } else if (mode.rfind("retry:", 0) == 0) {
-        spec.on_failure = xp::lab::FailurePolicy::retry(static_cast<
-            std::uint32_t>(std::strtoul(mode.c_str() + 6, nullptr, 10)));
+        spec.on_failure = xp::lab::FailurePolicy::retry(
+            parse_number<std::uint32_t>(argv[0], "--on-failure retry",
+                                        std::string_view(mode).substr(6)));
       } else {
         std::fprintf(stderr, "%s: unknown --on-failure mode '%s'\n", argv[0],
                      mode.c_str());
