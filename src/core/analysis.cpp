@@ -155,16 +155,4 @@ double arm_mean(std::span<const Observation> rows, bool treated) {
   return weight == 0.0 ? 0.0 : sum / weight;
 }
 
-double overall_mean(std::span<const Observation> rows) {
-  double sum = 0.0;
-  double weight = 0.0;
-  for (const Observation& row : rows) {
-    if (std::isfinite(row.outcome)) {
-      sum += row.weight * row.outcome;
-      weight += row.weight;
-    }
-  }
-  return weight == 0.0 ? 0.0 : sum / weight;
-}
-
 }  // namespace xp::core

@@ -74,7 +74,4 @@ EffectEstimate account_level_analysis(std::span<const Observation> rows,
 /// weighted by Observation::weight.
 double arm_mean(std::span<const Observation> rows, bool treated);
 
-/// Mean outcome of all rows, weighted by Observation::weight.
-double overall_mean(std::span<const Observation> rows);
-
 }  // namespace xp::core

@@ -48,18 +48,4 @@ enum class Estimand {
   kPartialTreatmentEffect,  ///< rho(p)
 };
 
-constexpr const char* estimand_name(Estimand e) noexcept {
-  switch (e) {
-    case Estimand::kAverageTreatmentEffect:
-      return "tau(p)";
-    case Estimand::kTotalTreatmentEffect:
-      return "TTE";
-    case Estimand::kSpillover:
-      return "spillover";
-    case Estimand::kPartialTreatmentEffect:
-      return "rho(p)";
-  }
-  return "?";
-}
-
 }  // namespace xp::core

@@ -20,7 +20,7 @@ struct Observation {
   std::uint64_t hour_index = 0;   ///< absolute hour since epoch (NW order)
   std::uint32_t day = 0;          ///< absolute day (switchback intervals)
   std::uint8_t group = 0;         ///< design-specific stratum (e.g. link)
-  /// How many underlying sessions this row summarizes. 1.0 for the
+  /// How many underlying sessions this row stands for. 1.0 for the
   /// record-materializing backends (one row per session); streamed cell
   /// sketches (core/cell_accumulator.h) emit one row per histogram bin
   /// with outcome = bin mean and weight = bin count. Weighted means with

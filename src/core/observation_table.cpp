@@ -23,13 +23,6 @@ void ObservationTable::add_series(std::string name,
   series.push_back(std::move(values));
 }
 
-bool ObservationTable::has_column(std::string_view metric) const noexcept {
-  for (const std::string& m : metrics) {
-    if (m == metric) return true;
-  }
-  return false;
-}
-
 const std::vector<Observation>& ObservationTable::column(
     std::string_view metric) const {
   return detail::named_lookup("ObservationTable", "metric column", metric,
@@ -39,12 +32,6 @@ const std::vector<Observation>& ObservationTable::column(
 double ObservationTable::aggregate(std::string_view name) const {
   return detail::named_lookup("ObservationTable", "aggregate", name,
                               aggregate_names, aggregates);
-}
-
-const std::vector<double>& ObservationTable::series_values(
-    std::string_view name) const {
-  return detail::named_lookup("ObservationTable", "series", name,
-                              series_names, series);
 }
 
 }  // namespace xp::core

@@ -31,13 +31,10 @@ struct ObservationTable {
   void add_aggregate(std::string name, double value);
   void add_series(std::string name, std::vector<double> values);
 
-  bool has_column(std::string_view metric) const noexcept;
-
   /// Lookup by name; throws std::invalid_argument naming the available
   /// entries on a miss.
   const std::vector<Observation>& column(std::string_view metric) const;
   double aggregate(std::string_view name) const;
-  const std::vector<double>& series_values(std::string_view name) const;
 };
 
 }  // namespace xp::core

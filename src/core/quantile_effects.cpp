@@ -10,16 +10,6 @@
 namespace xp::core {
 
 EffectEstimate quantile_treatment_effect(
-    std::span<const Observation> rows, double q,
-    const QuantileEffectOptions& options, util::Runner* runner) {
-  std::vector<double> treated, control;
-  for (const Observation& row : rows) {
-    (row.treated ? treated : control).push_back(row.outcome);
-  }
-  return quantile_treatment_effect(treated, control, q, options, runner);
-}
-
-EffectEstimate quantile_treatment_effect(
     std::span<const double> treated, std::span<const double> control,
     double q, const QuantileEffectOptions& options, util::Runner* runner) {
   if (treated.size() < 10 || control.size() < 10) {

@@ -25,19 +25,12 @@ struct QuantileEffectOptions {
   std::uint64_t seed = 7;
 };
 
-/// Quantile-q treatment effect: Q_q(treated) - Q_q(control), with a
-/// percentile-bootstrap interval (arms resampled independently).
-/// `runner` controls where bootstrap replicates fan out (null = the
-/// process-wide runner); results are identical at any thread count.
-EffectEstimate quantile_treatment_effect(
-    std::span<const Observation> rows, double q,
-    const QuantileEffectOptions& options = {},
-    util::Runner* runner = nullptr);
-
-/// Pre-partitioned form: callers that evaluate several quantiles over the
-/// same rows (the ladder below) split the arms once and reuse the
-/// outcome vectors, instead of re-scanning the observation table per
-/// rung. Identical results to the row-based overload.
+/// Quantile-q treatment effect over pre-partitioned arm outcomes:
+/// Q_q(treated) - Q_q(control), with a percentile-bootstrap interval
+/// (arms resampled independently). The ladder below splits the arms once
+/// and calls this per rung. `runner` controls where bootstrap replicates
+/// fan out (null = the process-wide runner); results are identical at any
+/// thread count.
 EffectEstimate quantile_treatment_effect(
     std::span<const double> treated, std::span<const double> control,
     double q, const QuantileEffectOptions& options = {},

@@ -16,12 +16,6 @@ std::string format_relative(const EffectEstimate& estimate) {
   return buffer;
 }
 
-void print_header(std::ostream& os, std::string_view title) {
-  os << '\n' << std::string(100, '=') << '\n'
-     << "  " << title << '\n'
-     << std::string(100, '=') << '\n';
-}
-
 void print_figure5_table(std::ostream& os, const EstimateTable& naive,
                          const EstimateTable& tte,
                          const EstimateTable& spillover) {

@@ -33,7 +33,4 @@ void print_estimate_table(std::ostream& os, const EstimateTable& table);
 void print_cell_table(std::ostream& os, const PairedLinkReport& report,
                       std::string_view unit_label, double unit_scale);
 
-/// Horizontal rule + centered title helper for bench output.
-void print_header(std::ostream& os, std::string_view title);
-
 }  // namespace xp::core

@@ -1,6 +1,5 @@
 #include "lab/fleet_scenarios.h"
 
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -8,6 +7,7 @@
 #include <vector>
 
 #include "core/cell_accumulator.h"
+#include "lab/journal.h"
 #include "util/budget.h"
 #include "video/cluster.h"
 
@@ -26,19 +26,6 @@ std::size_t fleet_hours(const video::FleetConfig& fleet) {
 double shard_nominal_ticks(const video::ClusterConfig& config) {
   return std::ceil(config.days * 86400.0 / config.tick_seconds);
 }
-
-// FNV-1a over the fields that change a fleet's output, so the journal
-// fingerprint distinguishes fleets the scenario key alone cannot.
-struct Fnv {
-  std::uint64_t h = 1469598103934665603ull;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
-  void mix(double v) { mix(std::bit_cast<std::uint64_t>(v)); }
-};
 
 class FleetSource final : public DataSource {
  public:
@@ -84,22 +71,26 @@ class FleetSource final : public DataSource {
     return p0 * allocation + (1.0 - p0) * (1.0 - allocation);
   }
 
+  // FNV-1a over the fields that change a fleet's output, so the journal
+  // fingerprint distinguishes fleets the scenario key alone cannot.
   std::uint64_t config_fingerprint() const noexcept override {
-    Fnv fnv;
-    fnv.mix(static_cast<std::uint64_t>(fleet_.shards.size()));
+    std::uint64_t h = kFnv1a64Basis;
+    const auto mix = [&h](auto v) {
+      h = fnv1a64(reinterpret_cast<const char*>(&v), sizeof v, h);
+    };
+    mix(static_cast<std::uint64_t>(fleet_.shards.size()));
     for (const video::ShardConfig& shard : fleet_.shards) {
-      fnv.mix(shard.capacity_scale);
-      fnv.mix(shard.demand_scale);
-      fnv.mix(static_cast<std::uint64_t>(
-          static_cast<std::int64_t>(shard.demand_phase_hours)));
-      fnv.mix(shard.uhd_tilt);
+      mix(shard.capacity_scale);
+      mix(shard.demand_scale);
+      mix(static_cast<std::int64_t>(shard.demand_phase_hours));
+      mix(shard.uhd_tilt);
     }
-    fnv.mix(fleet_.base.days);
-    fnv.mix(fleet_.base.tick_seconds);
-    fnv.mix(fleet_.base.demand.peak_arrivals_per_second);
-    fnv.mix(fleet_.base.link.capacity_bps);
-    fnv.mix(fleet_.base.link0_probability);
-    return fnv.h;
+    mix(fleet_.base.days);
+    mix(fleet_.base.tick_seconds);
+    mix(fleet_.base.demand.peak_arrivals_per_second);
+    mix(fleet_.base.link.capacity_bps);
+    mix(fleet_.base.link0_probability);
+    return h;
   }
 
  private:

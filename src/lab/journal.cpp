@@ -25,15 +25,6 @@ constexpr std::size_t kFrameSize = sizeof(std::uint32_t) + sizeof(std::uint64_t)
   throw std::invalid_argument("journal: " + message);
 }
 
-std::uint64_t fnv1a64(const char* data, std::size_t size) noexcept {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= static_cast<unsigned char>(data[i]);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 // ------------------------------------------------------------- writing ----
 // Little-endian, the only byte order we target (same stance as the trace
 // binary codec); doubles travel by bit pattern so NaNs round-trip exactly.
@@ -287,6 +278,15 @@ struct Fingerprint {
 };
 
 }  // namespace
+
+std::uint64_t fnv1a64(const char* data, std::size_t size,
+                      std::uint64_t hash) noexcept {
+  for (std::size_t i = 0; i < size; ++i) {
+    hash ^= static_cast<unsigned char>(data[i]);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
 
 std::string journal_path(const std::string& directory) {
   return (std::filesystem::path(directory) / "cells.xpj").string();

@@ -36,6 +36,7 @@
 // needs).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -50,6 +51,15 @@ struct ExperimentSpec;  // lab/experiment.h
 /// the content-key recipe; old journals then never match and are simply
 /// recomputed over.
 inline constexpr std::uint32_t kJournalVersion = 2;
+
+/// FNV-1a offset basis: the hash of zero bytes.
+inline constexpr std::uint64_t kFnv1a64Basis = 0xcbf29ce484222325ULL;
+
+/// FNV-1a-64 of `size` bytes — the journal's frame checksum and content
+/// key hash. Pass an earlier result as `hash` to extend it: hashing two
+/// buffers in sequence equals hashing their concatenation.
+std::uint64_t fnv1a64(const char* data, std::size_t size,
+                      std::uint64_t hash = kFnv1a64Basis) noexcept;
 
 /// The journal file a directory holds (one per directory).
 std::string journal_path(const std::string& directory);

@@ -17,18 +17,6 @@ CcAlgorithm parse_cc_algorithm(std::string_view name) {
                               std::string(name));
 }
 
-std::string_view cc_algorithm_name(CcAlgorithm algorithm) noexcept {
-  switch (algorithm) {
-    case CcAlgorithm::kReno:
-      return "reno";
-    case CcAlgorithm::kCubic:
-      return "cubic";
-    case CcAlgorithm::kBbr:
-      return "bbr";
-  }
-  return "unknown";
-}
-
 std::unique_ptr<CongestionControl> make_congestion_control(
     CcAlgorithm algorithm, const CcConfig& config) {
   switch (algorithm) {

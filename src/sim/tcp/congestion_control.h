@@ -32,7 +32,6 @@ enum class CcAlgorithm { kReno, kCubic, kBbr };
 
 /// Parse "reno" / "cubic" / "bbr" (case-sensitive). Throws on unknown names.
 CcAlgorithm parse_cc_algorithm(std::string_view name);
-std::string_view cc_algorithm_name(CcAlgorithm algorithm) noexcept;
 
 class CongestionControl {
  public:

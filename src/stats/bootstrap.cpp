@@ -36,9 +36,9 @@ Rng replicate_rng(std::uint64_t base, std::size_t r) {
   return Rng{mix64(base ^ (0x9e3779b97f4a7c15ULL + r))};
 }
 
-BootstrapInterval summarize_replicates(double point,
-                                       std::vector<double>& replicates,
-                                       double confidence_level) {
+BootstrapInterval interval_from_replicates(double point,
+                                           std::vector<double>& replicates,
+                                           double confidence_level) {
   std::sort(replicates.begin(), replicates.end());
   const double alpha = 1.0 - confidence_level;
   BootstrapInterval interval;
@@ -63,7 +63,7 @@ BootstrapInterval bootstrap_ci(std::span<const double> sample,
     Rng rep_rng = replicate_rng(base, r);
     stats[r] = statistic(resample(sample, rep_rng));
   });
-  return summarize_replicates(statistic(sample), stats, confidence_level);
+  return interval_from_replicates(statistic(sample), stats, confidence_level);
 }
 
 BootstrapInterval bootstrap_two_sample_ci(std::span<const double> a,
@@ -84,7 +84,7 @@ BootstrapInterval bootstrap_two_sample_ci(std::span<const double> a,
     const std::vector<double> draw_b = resample(b, rep_rng);
     stats[r] = statistic(draw_a, draw_b);
   });
-  return summarize_replicates(statistic(a, b), stats, confidence_level);
+  return interval_from_replicates(statistic(a, b), stats, confidence_level);
 }
 
 }  // namespace xp::stats

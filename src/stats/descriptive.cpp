@@ -29,12 +29,6 @@ double stddev(std::span<const double> xs) noexcept {
   return std::sqrt(variance(xs));
 }
 
-double standard_error(std::span<const double> xs) noexcept {
-  const std::size_t n = xs.size();
-  if (n < 2) return 0.0;
-  return stddev(xs) / std::sqrt(static_cast<double>(n));
-}
-
 double min(std::span<const double> xs) noexcept {
   double result = std::numeric_limits<double>::infinity();
   for (double x : xs) result = std::min(result, x);
@@ -62,84 +56,6 @@ double quantile(std::span<const double> xs, double q) {
   std::vector<double> copy(xs.begin(), xs.end());
   std::sort(copy.begin(), copy.end());
   return quantile_sorted(copy, q);
-}
-
-double median(std::span<const double> xs) { return quantile(xs, 0.5); }
-
-double weighted_mean(std::span<const double> xs,
-                     std::span<const double> weights) noexcept {
-  double num = 0.0, den = 0.0;
-  const std::size_t n = std::min(xs.size(), weights.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    num += xs[i] * weights[i];
-    den += weights[i];
-  }
-  return den == 0.0 ? 0.0 : num / den;
-}
-
-void Accumulator::add(double x) noexcept {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-void Accumulator::merge(const Accumulator& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double Accumulator::variance() const noexcept {
-  return n_ < 2 ? 0.0 : m2_ / static_cast<double>(n_ - 1);
-}
-
-double Accumulator::stddev() const noexcept { return std::sqrt(variance()); }
-
-double Accumulator::standard_error() const noexcept {
-  return n_ < 2 ? 0.0 : stddev() / std::sqrt(static_cast<double>(n_));
-}
-
-double Accumulator::min() const noexcept {
-  return n_ == 0 ? std::numeric_limits<double>::infinity() : min_;
-}
-
-double Accumulator::max() const noexcept {
-  return n_ == 0 ? -std::numeric_limits<double>::infinity() : max_;
-}
-
-Summary summarize(std::span<const double> xs) {
-  Summary s;
-  s.count = xs.size();
-  if (xs.empty()) return s;
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  s.mean = mean(xs);
-  s.stddev = stddev(xs);
-  s.min = sorted.front();
-  s.max = sorted.back();
-  s.p25 = quantile_sorted(sorted, 0.25);
-  s.median = quantile_sorted(sorted, 0.5);
-  s.p75 = quantile_sorted(sorted, 0.75);
-  s.p99 = quantile_sorted(sorted, 0.99);
-  return s;
 }
 
 }  // namespace xp::stats

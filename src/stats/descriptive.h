@@ -21,9 +21,6 @@ double variance(std::span<const double> xs) noexcept;
 /// Sample standard deviation (sqrt of unbiased variance).
 double stddev(std::span<const double> xs) noexcept;
 
-/// Standard error of the mean: sd / sqrt(n). Returns 0 for n < 2.
-double standard_error(std::span<const double> xs) noexcept;
-
 /// Minimum; +inf for empty input.
 double min(std::span<const double> xs) noexcept;
 
@@ -36,54 +33,5 @@ double quantile(std::span<const double> xs, double q);
 
 /// Quantile over data the caller has already sorted ascending.
 double quantile_sorted(std::span<const double> sorted, double q) noexcept;
-
-/// Median (quantile 0.5).
-double median(std::span<const double> xs);
-
-/// Weighted mean: sum(w*x)/sum(w). Requires equal lengths; returns 0 when
-/// total weight is 0.
-double weighted_mean(std::span<const double> xs,
-                     std::span<const double> weights) noexcept;
-
-/// Streaming mean/variance accumulator (Welford). Numerically stable for
-/// long simulation runs where metric samples arrive one at a time.
-class Accumulator {
- public:
-  void add(double x) noexcept;
-  /// Merge another accumulator (parallel reduction, Chan et al.).
-  void merge(const Accumulator& other) noexcept;
-
-  std::size_t count() const noexcept { return n_; }
-  double mean() const noexcept { return n_ == 0 ? 0.0 : mean_; }
-  double variance() const noexcept;  ///< Unbiased; 0 for n < 2.
-  double stddev() const noexcept;
-  double standard_error() const noexcept;
-  double min() const noexcept;
-  double max() const noexcept;
-  double sum() const noexcept { return mean_ * static_cast<double>(n_); }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-/// Five-number-style summary used by the report printers.
-struct Summary {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double p25 = 0.0;
-  double median = 0.0;
-  double p75 = 0.0;
-  double p99 = 0.0;
-  double max = 0.0;
-};
-
-/// Compute a Summary of a sample (copies and sorts once).
-Summary summarize(std::span<const double> xs);
 
 }  // namespace xp::stats

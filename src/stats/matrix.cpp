@@ -22,28 +22,6 @@ Matrix Matrix::identity(std::size_t n) {
   return m;
 }
 
-Matrix Matrix::column(std::span<const double> values) {
-  Matrix m(values.size(), 1);
-  for (std::size_t i = 0; i < values.size(); ++i) m(i, 0) = values[i];
-  return m;
-}
-
-Matrix Matrix::diagonal(std::span<const double> values) {
-  Matrix m(values.size(), values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) m(i, i) = values[i];
-  return m;
-}
-
-double& Matrix::at(std::size_t r, std::size_t c) {
-  if (r >= rows_ || c >= cols_) throw std::out_of_range("Matrix::at");
-  return (*this)(r, c);
-}
-
-double Matrix::at(std::size_t r, std::size_t c) const {
-  if (r >= rows_ || c >= cols_) throw std::out_of_range("Matrix::at");
-  return (*this)(r, c);
-}
-
 Matrix Matrix::transpose() const {
   Matrix t(cols_, rows_);
   for (std::size_t r = 0; r < rows_; ++r) {
@@ -69,24 +47,6 @@ Matrix Matrix::operator*(const Matrix& rhs) const {
   return out;
 }
 
-Matrix Matrix::operator+(const Matrix& rhs) const {
-  if (rows_ != rhs.rows_ || cols_ != rhs.cols_) {
-    throw std::invalid_argument("Matrix add: dimension mismatch");
-  }
-  Matrix out = *this;
-  for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] += rhs.data_[i];
-  return out;
-}
-
-Matrix Matrix::operator-(const Matrix& rhs) const {
-  if (rows_ != rhs.rows_ || cols_ != rhs.cols_) {
-    throw std::invalid_argument("Matrix subtract: dimension mismatch");
-  }
-  Matrix out = *this;
-  for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] -= rhs.data_[i];
-  return out;
-}
-
 Matrix Matrix::scaled(double factor) const {
   Matrix out = *this;
   for (double& v : out.data_) v *= factor;
@@ -107,14 +67,6 @@ Matrix Matrix::gram() const {
   }
   for (std::size_t i = 0; i < cols_; ++i) {
     for (std::size_t j = 0; j < i; ++j) out(i, j) = out(j, i);
-  }
-  return out;
-}
-
-Matrix Matrix::outer(std::span<const double> x, std::span<const double> y) {
-  Matrix out(x.size(), y.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    for (std::size_t j = 0; j < y.size(); ++j) out(i, j) = x[i] * y[j];
   }
   return out;
 }
@@ -187,43 +139,6 @@ Matrix inverse_spd(const Matrix& a) {
     e[j] = 0.0;
   }
   return inv;
-}
-
-std::vector<double> solve_lu(Matrix a, std::vector<double> b) {
-  const std::size_t n = a.rows();
-  if (a.cols() != n || b.size() != n) {
-    throw std::invalid_argument("solve_lu: size mismatch");
-  }
-  for (std::size_t col = 0; col < n; ++col) {
-    // Partial pivot.
-    std::size_t pivot = col;
-    double best = std::fabs(a(col, col));
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const double candidate = std::fabs(a(r, col));
-      if (candidate > best) {
-        best = candidate;
-        pivot = r;
-      }
-    }
-    if (best < 1e-300) throw std::domain_error("solve_lu: singular matrix");
-    if (pivot != col) {
-      for (std::size_t c = 0; c < n; ++c) std::swap(a(col, c), a(pivot, c));
-      std::swap(b[col], b[pivot]);
-    }
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const double factor = a(r, col) / a(col, col);
-      if (factor == 0.0) continue;
-      for (std::size_t c = col; c < n; ++c) a(r, c) -= factor * a(col, c);
-      b[r] -= factor * b[col];
-    }
-  }
-  std::vector<double> x(n);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double sum = b[ii];
-    for (std::size_t c = ii + 1; c < n; ++c) sum -= a(ii, c) * x[c];
-    x[ii] = sum / a(ii, ii);
-  }
-  return x;
 }
 
 }  // namespace xp::stats

@@ -22,10 +22,6 @@ class Matrix {
   Matrix(std::initializer_list<std::initializer_list<double>> rows);
 
   static Matrix identity(std::size_t n);
-  /// Column vector from a span.
-  static Matrix column(std::span<const double> values);
-  /// Diagonal matrix from a span.
-  static Matrix diagonal(std::span<const double> values);
 
   std::size_t rows() const noexcept { return rows_; }
   std::size_t cols() const noexcept { return cols_; }
@@ -37,8 +33,6 @@ class Matrix {
   double operator()(std::size_t r, std::size_t c) const noexcept {
     return data_[r * cols_ + c];
   }
-  double& at(std::size_t r, std::size_t c);
-  double at(std::size_t r, std::size_t c) const;
 
   std::span<const double> row(std::size_t r) const noexcept {
     return {data_.data() + r * cols_, cols_};
@@ -47,15 +41,10 @@ class Matrix {
 
   Matrix transpose() const;
   Matrix operator*(const Matrix& rhs) const;
-  Matrix operator+(const Matrix& rhs) const;
-  Matrix operator-(const Matrix& rhs) const;
   Matrix scaled(double factor) const;
 
   /// A^T * A without materializing the transpose.
   Matrix gram() const;
-
-  /// Outer product x * y^T of two vectors.
-  static Matrix outer(std::span<const double> x, std::span<const double> y);
 
   /// Frobenius-norm distance to another matrix (testing aid).
   double distance(const Matrix& rhs) const;
@@ -76,9 +65,5 @@ std::vector<double> solve_spd(const Matrix& a, std::span<const double> b);
 
 /// Inverse of an SPD matrix via Cholesky (used for (X'X)^-1 sandwiches).
 Matrix inverse_spd(const Matrix& a);
-
-/// Solve a general square system via partially-pivoted LU (fallback for
-/// nearly-singular design matrices; throws std::domain_error if singular).
-std::vector<double> solve_lu(Matrix a, std::vector<double> b);
 
 }  // namespace xp::stats

@@ -121,20 +121,6 @@ double Rng::lognormal(double mu, double sigma) noexcept {
   return std::exp(normal(mu, sigma));
 }
 
-double Rng::pareto(double xm, double alpha) noexcept {
-  double u;
-  do {
-    u = uniform();
-  } while (u <= 0.0);
-  return xm / std::pow(u, 1.0 / alpha);
-}
-
-Rng Rng::split() noexcept { return Rng{next() ^ 0xd2b74407b1ce6e93ULL}; }
-
-void Rng::fill_uniform(std::span<double> out) noexcept {
-  for (double& v : out) v = uniform();
-}
-
 void Rng::fill_uniform_int(std::uint64_t n,
                            std::span<std::uint32_t> out) noexcept {
   for (std::uint32_t& v : out) {
@@ -211,26 +197,6 @@ std::uint64_t BatchedRng::poisson(double mean) noexcept {
 
 double BatchedRng::lognormal(double mu, double sigma) noexcept {
   return std::exp(normal(mu, sigma));
-}
-
-void BatchedRng::fill_uniform(std::span<double> out) noexcept {
-  std::size_t k = 0;
-  while (k < out.size()) {
-    if (pos_ == block_.size()) refill();
-    const std::size_t take = std::min(out.size() - k, block_.size() - pos_);
-    const std::uint64_t* src = block_.data() + pos_;
-    double* dst = out.data() + k;
-    for (std::size_t j = 0; j < take; ++j) {
-      dst[j] = static_cast<double>(src[j] >> 11) * 0x1.0p-53;
-    }
-    pos_ += take;
-    k += take;
-  }
-}
-
-void BatchedRng::fill_exponential(std::span<double> out,
-                                  double rate) noexcept {
-  for (double& v : out) v = exponential(rate);
 }
 
 }  // namespace xp::stats

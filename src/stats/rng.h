@@ -64,31 +64,12 @@ class Rng {
   std::uint64_t poisson(double mean) noexcept;
   /// Log-normal: exp(Normal(mu, sigma)).
   double lognormal(double mu, double sigma) noexcept;
-  /// Pareto with scale xm > 0 and shape alpha > 0.
-  double pareto(double xm, double alpha) noexcept;
-
-  /// Fisher-Yates shuffle of a vector (any element type).
-  template <typename T>
-  void shuffle(std::vector<T>& values) noexcept {
-    for (std::size_t i = values.size(); i > 1; --i) {
-      using std::swap;
-      swap(values[i - 1], values[uniform_int(i)]);
-    }
-  }
-
-  /// Fill `out` with uniforms in [0, 1); out[k] is exactly the value the
-  /// k-th uniform() call would have produced.
-  void fill_uniform(std::span<double> out) noexcept;
-
   /// Fill `out` with uniform integers in [0, n); out[k] is exactly the
   /// value the k-th uniform_int(n) call would have produced. Requires
   /// 0 < n <= 2^32 (resampling indices). Batching the index generation
   /// unclogs the bootstrap inner loop: the generator recurrence runs back
   /// to back instead of interleaved with the gather's cache misses.
   void fill_uniform_int(std::uint64_t n, std::span<std::uint32_t> out) noexcept;
-
-  /// Derive an independent child stream (for per-component streams).
-  Rng split() noexcept;
 
  private:
   std::uint64_t state_[4];
@@ -143,11 +124,6 @@ class BatchedRng {
   bool bernoulli(double p) noexcept { return uniform() < p; }
   std::uint64_t poisson(double mean) noexcept;
   double lognormal(double mu, double sigma) noexcept;
-
-  /// Block fills: out[k] is exactly what the k-th uniform()/exponential()
-  /// call would have produced, regardless of buffer boundaries.
-  void fill_uniform(std::span<double> out) noexcept;
-  void fill_exponential(std::span<double> out, double rate) noexcept;
 
  private:
   void refill() noexcept;

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <vector>
 
 #include "stats/descriptive.h"
 #include "stats/distributions.h"
@@ -54,28 +53,6 @@ TTestResult welch_t_test(std::span<const double> a, std::span<const double> b,
     df = na + nb - 2.0;
   }
   return finish(ma - mb, se, df, confidence_level);
-}
-
-TTestResult paired_t_test(std::span<const double> a, std::span<const double> b,
-                          double confidence_level) {
-  if (a.size() != b.size()) {
-    throw std::invalid_argument("paired_t_test: length mismatch");
-  }
-  std::vector<double> diffs(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) diffs[i] = a[i] - b[i];
-  return one_sample_t_test(diffs, 0.0, confidence_level);
-}
-
-TTestResult one_sample_t_test(std::span<const double> xs, double mu0,
-                              double confidence_level) {
-  if (xs.size() < 2) {
-    throw std::invalid_argument("one_sample_t_test: need >= 2 samples");
-  }
-  const double m = mean(xs);
-  const double se = standard_error(xs);
-  const double df = static_cast<double>(xs.size() - 1);
-  // Estimate and interval are for the difference m - mu0.
-  return finish(m - mu0, se, df, confidence_level);
 }
 
 }  // namespace xp::stats

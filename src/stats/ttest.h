@@ -1,13 +1,12 @@
-// Two-sample comparisons: Welch's t-test (unequal variances, the default
-// for A/B test readouts) and the paired t-test (used in the A/A calibration
-// checks on the paired links).
+// Two-sample comparison: Welch's t-test (unequal variances, the default
+// for A/B test readouts).
 #pragma once
 
 #include <span>
 
 namespace xp::stats {
 
-/// Result of a two-sample (or paired) mean-difference test.
+/// Result of a two-sample mean-difference test.
 struct TTestResult {
   double estimate = 0.0;    ///< mean(treatment) - mean(control)
   double std_error = 0.0;
@@ -22,13 +21,5 @@ struct TTestResult {
 /// Welch's unequal-variance two-sample t-test for mean(a) - mean(b).
 TTestResult welch_t_test(std::span<const double> a, std::span<const double> b,
                          double confidence_level = 0.95);
-
-/// Paired t-test over per-pair differences a[i] - b[i] (equal lengths).
-TTestResult paired_t_test(std::span<const double> a, std::span<const double> b,
-                          double confidence_level = 0.95);
-
-/// One-sample t-test of mean(xs) against mu0.
-TTestResult one_sample_t_test(std::span<const double> xs, double mu0,
-                              double confidence_level = 0.95);
 
 }  // namespace xp::stats

@@ -1,5 +1,6 @@
 #include "trace/codec.h"
 
+#include <charconv>
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
@@ -9,6 +10,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -98,11 +100,12 @@ bool parse_f64_token(const std::string& token, double& out) {
   return end == token.c_str() + token.size();
 }
 
+/// The whole token must be decimal digits naming a value that fits in 64
+/// bits: no sign, no surrounding whitespace, no saturation on overflow.
 bool parse_u64_token(const std::string& token, std::uint64_t& out) {
-  if (token.empty() || token[0] == '-' || token[0] == '+') return false;
-  char* end = nullptr;
-  out = std::strtoull(token.c_str(), &end, 10);
-  return end == token.c_str() + token.size();
+  const char* end = token.data() + token.size();
+  const auto [ptr, error] = std::from_chars(token.data(), end, out);
+  return error == std::errc{} && ptr == end;
 }
 
 /// Apply one metadata key=value pair; `where` names the location for

@@ -81,8 +81,6 @@ class TraceSource final : public core::DataSource {
 
   /// Rows that survived horizon truncation (what run() replays).
   std::size_t replayed_rows() const noexcept { return sessions_.size(); }
-  /// Hourly (link, hour) cells the bootstrap resamples over.
-  std::size_t hour_cells() const noexcept { return cells_.size(); }
   const TraceMeta& meta() const noexcept { return meta_; }
 
  private:

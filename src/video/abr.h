@@ -1,16 +1,18 @@
 // Adaptive bitrate selection strategies over a flattened ladder (raw
-// ascending rung array + top index). Three are provided, one per AbrKind
-// in video/policy.h:
+// ascending rung array + top index). Each returns a rung *index*, so the
+// session pool can reuse the pick for its per-rung quality cache. Three
+// are provided, one per AbrKind in video/policy.h:
 //
-//  * abr_select_rungs — the repo's original hybrid: the client maps its
-//    playback buffer level to a ladder *index* (a reservoir of low-rate
+//  * abr_select_index_rungs — the repo's original hybrid: the client maps
+//    its playback buffer level to a ladder index (a reservoir of low-rate
 //    safety at the bottom, a linear cushion in the middle, max rate once
 //    comfortable), with a fixed throughput-informed startup rate.
-//  * bba_select_rungs — BBA-proper (Huang et al., the paper's reference
-//    [42]): the same reservoir/cushion map but linear in *rate*, then the
-//    highest rung under the mapped rate; startup at the lowest rung.
-//  * rate_select_rungs — throughput-based: highest rung under a safety
-//    fraction of the smoothed download rate, buffer ignored.
+//  * bba_select_index_rungs — BBA-proper (Huang et al., the paper's
+//    reference [42]): the same reservoir/cushion map but linear in
+//    *rate*, then the highest rung under the mapped rate; startup at the
+//    lowest rung.
+//  * rate_select_index_rungs — throughput-based: highest rung under a
+//    safety fraction of the smoothed download rate, buffer ignored.
 //
 // A bitrate cap (the Section 4 treatment) simply truncates the ladder,
 // so every strategy composes with every ladder treatment.
@@ -33,11 +35,10 @@ struct AbrConfig {
   double startup_bitrate = 1050e3;
 };
 
-/// Rung for the current playback buffer level, over a flattened ladder
-/// (ascending rung array + top index as a double). This is THE buffer-map
-/// arithmetic: the session pool's tick loop calls it with cached raw rung
-/// pointers, and the ladder-based overload below delegates here — change
-/// the policy in exactly one place.
+/// Rung index for the current playback buffer level, over a flattened
+/// ladder (ascending rung array + top index as a double). This is THE
+/// buffer-map arithmetic: the session pool's tick loop calls it with
+/// cached raw rung pointers — change the policy in exactly one place.
 inline std::size_t abr_select_index_rungs(double top_index,
                                           const AbrConfig& config,
                                           double buffer_seconds) noexcept {
@@ -47,12 +48,6 @@ inline std::size_t abr_select_index_rungs(double top_index,
       0.0, 1.0);
   // Linear interpolation across ladder indices.
   return static_cast<std::size_t>(std::floor(t * top_index));
-}
-
-inline double abr_select_rungs(const double* rungs, double top_index,
-                               const AbrConfig& config,
-                               double buffer_seconds) noexcept {
-  return rungs[abr_select_index_rungs(top_index, config, buffer_seconds)];
 }
 
 /// Index of the highest rung <= `value`, floored at 0. The ladder is a
@@ -65,12 +60,6 @@ inline std::size_t rung_index_at_most(const double* rungs, double top_index,
   std::size_t pick = 0;
   for (std::size_t r = 1; r <= top && rungs[r] <= value; ++r) pick = r;
   return pick;
-}
-
-/// Highest rung <= `value`, floored at the lowest rung.
-inline double rung_at_most(const double* rungs, double top_index,
-                           double value) noexcept {
-  return rungs[rung_index_at_most(rungs, top_index, value)];
 }
 
 /// BBA-proper buffer map: reservoir -> lowest, then linear in *rate* up
@@ -91,13 +80,6 @@ inline std::size_t bba_select_index_rungs(const double* rungs,
   return rung_index_at_most(rungs, top_index, rate);
 }
 
-inline double bba_select_rungs(const double* rungs, double top_index,
-                               const AbrConfig& config,
-                               double buffer_seconds) noexcept {
-  return rungs[bba_select_index_rungs(rungs, top_index, config,
-                                      buffer_seconds)];
-}
-
 /// Throughput-based selection: highest rung sustainable at `target_bps`
 /// (the caller applies its safety factor to a smoothed rate estimate).
 inline std::size_t rate_select_index_rungs(const double* rungs,
@@ -106,42 +88,10 @@ inline std::size_t rate_select_index_rungs(const double* rungs,
   return rung_index_at_most(rungs, top_index, target_bps);
 }
 
-inline double rate_select_rungs(const double* rungs, double top_index,
-                                double target_bps) noexcept {
-  return rung_at_most(rungs, top_index, target_bps);
-}
-
-/// Rung for the current playback buffer level. Free and inline so callers
-/// without a BufferBasedAbr object can select; BufferBasedAbr::select
-/// delegates here.
-inline double abr_select(const BitrateLadder& ladder, const AbrConfig& config,
-                         double buffer_seconds) noexcept {
-  return abr_select_rungs(ladder.rungs().data(),
-                          static_cast<double>(ladder.size() - 1), config,
-                          buffer_seconds);
-}
-
 /// Bitrate for the startup chunk (before playback begins).
 inline double abr_startup(const BitrateLadder& ladder,
                           const AbrConfig& config) noexcept {
   return std::min(config.startup_bitrate, ladder.highest());
 }
-
-class BufferBasedAbr {
- public:
-  BufferBasedAbr(BitrateLadder ladder, AbrConfig config = {});
-
-  /// Rung for the current playback buffer level (seconds of video).
-  double select(double buffer_seconds) const noexcept;
-
-  /// Bitrate for the startup chunk (before playback begins).
-  double startup() const noexcept;
-
-  const BitrateLadder& ladder() const noexcept { return ladder_; }
-
- private:
-  BitrateLadder ladder_;
-  AbrConfig config_;
-};
 
 }  // namespace xp::video

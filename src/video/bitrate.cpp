@@ -27,22 +27,6 @@ BitrateLadder::BitrateLadder(std::vector<double> rungs)
   for (double r : rungs_) quality_.push_back(perceptual_quality(r));
 }
 
-double BitrateLadder::highest_at_most(double bitrate_cap) const noexcept {
-  auto it = std::upper_bound(rungs_.begin(), rungs_.end(), bitrate_cap);
-  if (it == rungs_.begin()) return rungs_.front();
-  return *std::prev(it);
-}
-
-double BitrateLadder::rung(std::size_t index) const noexcept {
-  return rungs_[std::min(index, rungs_.size() - 1)];
-}
-
-std::size_t BitrateLadder::index_at_most(double value) const noexcept {
-  auto it = std::upper_bound(rungs_.begin(), rungs_.end(), value);
-  if (it == rungs_.begin()) return 0;
-  return static_cast<std::size_t>(std::distance(rungs_.begin(), it)) - 1;
-}
-
 BitrateLadder BitrateLadder::without_top(std::size_t count) const {
   const std::size_t keep = rungs_.size() > count ? rungs_.size() - count : 1;
   return BitrateLadder(

@@ -34,16 +34,6 @@ class BitrateLadder {
   double lowest() const noexcept { return rungs_.front(); }
   double highest() const noexcept { return rungs_.back(); }
 
-  /// Highest rung <= `bitrate_cap`; the lowest rung if the cap is below
-  /// everything (service always offers some stream).
-  double highest_at_most(double bitrate_cap) const noexcept;
-
-  /// Rung by index, clamped to the ladder.
-  double rung(std::size_t index) const noexcept;
-
-  /// Index of the highest rung <= value (0 when value < lowest).
-  std::size_t index_at_most(double value) const noexcept;
-
   /// Return a copy of this ladder truncated at `cap` b/s (the treatment).
   BitrateLadder capped(double cap) const;
 

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "stats/rng.h"
-#include "video/demand.h"
 
 namespace xp::video {
 
@@ -87,16 +86,6 @@ ClusterConfig shard_cluster_config(const FleetConfig& fleet,
   }
   config.seed = stats::substream_seed(fleet.seed, shard);
   return config;
-}
-
-double fleet_expected_sessions(const FleetConfig& fleet) {
-  double total = 0.0;
-  for (std::size_t s = 0; s < fleet.shards.size(); ++s) {
-    const ClusterConfig config = shard_cluster_config(fleet, s);
-    const DemandModel demand(config.demand);
-    total += demand.expected_arrivals(config.days * 86400.0);
-  }
-  return total;
 }
 
 }  // namespace xp::video

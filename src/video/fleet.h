@@ -66,8 +66,4 @@ void validate(const FleetConfig& fleet);
 ClusterConfig shard_cluster_config(const FleetConfig& fleet,
                                    std::size_t shard);
 
-/// Expected total arrivals across all shards over each shard's horizon —
-/// fleet-level reserve/budget sizing without running anything.
-double fleet_expected_sessions(const FleetConfig& fleet);
-
 }  // namespace xp::video

@@ -13,35 +13,6 @@ namespace {
 // dependency the vectorizer may not reassociate without fast-math, while
 // the fixed 4-lane order is deterministic and SIMD-friendly.
 
-/// Sum of positive demands (4-lane order) and their count. Counts ride in
-/// double lanes (exact far past any pool size) so the loop stays a single
-/// homogeneous SIMD block; integer lanes next to double lanes defeat the
-/// vectorizer's type analysis.
-[[gnu::noinline]] double positive_sum_count(const double* __restrict d,
-                                            std::size_t n,
-                                            std::size_t& count) noexcept {
-  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-  double c0 = 0.0, c1 = 0.0, c2 = 0.0, c3 = 0.0;
-  std::size_t i = 0;
-  // vec-check: waterfill-demand-sum
-  for (; i + 4 <= n; i += 4) {
-    s0 += std::max(d[i], 0.0);
-    s1 += std::max(d[i + 1], 0.0);
-    s2 += std::max(d[i + 2], 0.0);
-    s3 += std::max(d[i + 3], 0.0);
-    c0 += d[i] > 0.0 ? 1.0 : 0.0;
-    c1 += d[i + 1] > 0.0 ? 1.0 : 0.0;
-    c2 += d[i + 2] > 0.0 ? 1.0 : 0.0;
-    c3 += d[i + 3] > 0.0 ? 1.0 : 0.0;
-  }
-  for (; i < n; ++i) {
-    s0 += std::max(d[i], 0.0);
-    c0 += d[i] > 0.0 ? 1.0 : 0.0;
-  }
-  count = static_cast<std::size_t>((c0 + c1) + (c2 + c3));
-  return (s0 + s1) + (s2 + s3);
-}
-
 /// One refinement round: total demand at or under `level` (4-lane order)
 /// and the count strictly above it.
 [[gnu::noinline]] double satisfied_under(const double* __restrict d,
@@ -184,49 +155,13 @@ double max_min_fair_allocation_presummed(std::span<const double> demands,
   return grant_at_level(d, alloc.data(), n, level);
 }
 
-double max_min_fair_allocation_into(
-    std::span<const double> demands, double capacity, std::span<double> alloc,
-    std::vector<std::uint32_t>& order_scratch) {
-  (void)order_scratch;  // kept for API stability; the fill is index-free now
-  if (demands.empty()) return 0.0;
-  if (capacity <= 0.0) {
-    std::fill(alloc.begin(), alloc.end(), 0.0);
-    return 0.0;
-  }
-  std::size_t positive = 0;
-  const double positive_sum =
-      positive_sum_count(demands.data(), demands.size(), positive);
-  std::vector<double> refine_scratch;
-  return max_min_fair_allocation_presummed(demands, positive_sum, positive,
-                                           capacity, alloc, refine_scratch);
-}
-
-std::vector<double> max_min_fair_allocation(std::span<const double> demands,
-                                            double capacity) {
-  std::vector<double> alloc(demands.size(), 0.0);
-  if (demands.empty() || capacity <= 0.0) return alloc;
-  std::vector<std::uint32_t> order;
-  max_min_fair_allocation_into(demands, capacity, alloc, order);
-  return alloc;
-}
-
-void FluidLink::allocate_and_advance(std::span<const double> demands,
-                                     double desired_load_bps, double dt,
-                                     std::vector<double>& alloc) {
-  alloc.resize(demands.size());
-  // Effective capacity = nominal x fault factor; at the default factor of
-  // exactly 1.0 the multiply is IEEE-identical to the nominal path, so
-  // fault-free worlds stay bit-for-bit unchanged.
-  const double cap = config_.capacity_bps * capacity_factor_;
-  const double delivered =
-      max_min_fair_allocation_into(demands, cap, alloc, order_scratch_);
-  advance_queue(delivered, cap, desired_load_bps, dt);
-}
-
 std::span<const double> FluidLink::allocate_and_advance(
     std::span<const double> demands, double desired_load_bps,
     double demand_sum_bps, std::size_t demand_positive, double dt,
     std::vector<double>& alloc) {
+  // Effective capacity = nominal x fault factor; at the default factor of
+  // exactly 1.0 the multiply is IEEE-identical to the nominal path, so
+  // fault-free worlds stay bit-for-bit unchanged.
   const double cap = config_.capacity_bps * capacity_factor_;
   // Undersubscribed (the off-peak majority of ticks): with non-negative
   // demands the grant vector IS the demand vector, so hand it straight
@@ -265,13 +200,6 @@ void FluidLink::advance_queue(double delivered, double cap,
   const double a_q = std::min(1.0, dt / config_.queue_tau);
   queue_bytes_ += a_q * (target - queue_bytes_);
   queue_bytes_ = std::clamp(queue_bytes_, 0.0, buffer_bytes);
-}
-
-std::vector<double> FluidLink::allocate_and_advance(
-    std::span<const double> demands, double desired_load_bps, double dt) {
-  std::vector<double> alloc;
-  allocate_and_advance(demands, desired_load_bps, dt, alloc);
-  return alloc;
 }
 
 double FluidLink::queueing_delay() const noexcept {

@@ -14,7 +14,7 @@
 //    buffer limit, mimicking droptail tail-drop behaviour.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -59,30 +59,19 @@ class FluidLink {
   /// standing-queue dynamics by `dt` seconds given `desired_load_bps`,
   /// the aggregate congestion-free consumption the sessions want.
   ///
-  /// Hot-path form: grants are written into the caller-owned `alloc`
-  /// (resized to demands.size(); its capacity — and the link's internal
-  /// water-filling scratch — is reused across ticks, so the steady-state
-  /// tick allocates nothing).
-  void allocate_and_advance(std::span<const double> demands,
-                            double desired_load_bps, double dt,
-                            std::vector<double>& alloc);
-
-  /// Presummed hot-path form: callers that already swept the demand array
-  /// (the pool's gather pass) hand over the positive-demand sum and count
-  /// so the water-fill skips its own first pass. Requires non-negative
-  /// demands (`demand_sum_bps` is then their plain sum). Returns the
-  /// grant span: `demands` itself when the link is undersubscribed
-  /// (grants == demands, no copy), `alloc` after a water-fill otherwise —
-  /// consume the return value, not `alloc`.
+  /// The caller (the pool's gather pass) already swept the demand array,
+  /// so it hands over the positive-demand sum and count and the
+  /// water-fill skips its own first pass. Requires non-negative demands
+  /// (`demand_sum_bps` is then their plain sum). Returns the grant span:
+  /// `demands` itself when the link is undersubscribed (grants ==
+  /// demands, no copy), `alloc` after a water-fill otherwise — consume
+  /// the return value, not `alloc`. `alloc`'s capacity and the link's
+  /// water-filling scratch are reused across ticks, so the steady-state
+  /// tick allocates nothing.
   std::span<const double> allocate_and_advance(
       std::span<const double> demands, double desired_load_bps,
       double demand_sum_bps, std::size_t demand_positive, double dt,
       std::vector<double>& alloc);
-
-  /// Convenience form returning a fresh vector (tests, one-off callers).
-  std::vector<double> allocate_and_advance(std::span<const double> demands,
-                                           double desired_load_bps,
-                                           double dt);
 
   /// Current round-trip time including the standing queue.
   double rtt() const noexcept;
@@ -122,7 +111,7 @@ class FluidLink {
   }
 
  private:
-  /// Shared tail of both allocate_and_advance forms: utilization +
+  /// Shared tail of both allocate_and_advance branches: utilization +
   /// standing-queue relaxation.
   void advance_queue(double delivered, double cap, double desired_load_bps,
                      double dt) noexcept;
@@ -132,37 +121,22 @@ class FluidLink {
   double queue_bytes_ = 0.0;
   double last_utilization_ = 0.0;
   double rho_ = 0.0;
-  /// Water-filling sort scratch, reused across ticks.
-  std::vector<std::uint32_t> order_scratch_;
   /// Water-level refinement scratch (above-level survivors), reused across
   /// ticks so oversubscribed peak-hour ticks stay allocation-free.
   std::vector<double> refine_scratch_;
 };
 
-/// Standalone max-min fair share computation (water-filling).
-/// Exposed for tests and reuse.
-std::vector<double> max_min_fair_allocation(std::span<const double> demands,
-                                            double capacity);
-
-/// Allocation-free water-filling: writes grants into `alloc` (caller sizes
-/// it to demands.size()) and returns the total granted rate (fixed 4-lane
-/// summation order). Zero and negative demands are granted 0. Every pass
-/// is a dense branch-free sweep over the full demand array — the water
-/// level is refined by re-scanning rather than compacting an index list,
-/// which keeps the loops vectorizable; `order_scratch` is unused but kept
-/// so callers' reusable-scratch plumbing stays source-compatible.
-double max_min_fair_allocation_into(std::span<const double> demands,
-                                    double capacity, std::span<double> alloc,
-                                    std::vector<std::uint32_t>& order_scratch);
-
-/// As above, but the caller supplies the positive-demand sum and count
-/// (typically fused into its own sweep that produced `demands`), skipping
-/// the allocator's first pass. `positive_sum` must equal the sum of
-/// max(d, 0) over `demands` up to summation order; `positive_count` must
-/// be exact. `refine_scratch` is resized to demands.size() when the link
-/// is oversubscribed and holds the above-level survivors between
-/// refinement rounds — pass a vector reused across calls to keep the hot
-/// path allocation-free.
+/// Max-min fair share computation (water-filling): writes grants into
+/// `alloc` (caller sizes it to demands.size()) and returns the total
+/// granted rate (fixed 4-lane summation order). Zero and negative
+/// demands are granted 0. The caller supplies the positive-demand sum and
+/// count (typically fused into its own sweep that produced `demands`), so
+/// the allocator needs no first pass of its own. `positive_sum` must
+/// equal the sum of max(d, 0) over `demands` up to summation order;
+/// `positive_count` must be exact. `refine_scratch` is resized to
+/// demands.size() when the link is oversubscribed and holds the
+/// above-level survivors between refinement rounds — pass a vector
+/// reused across calls to keep the hot path allocation-free.
 double max_min_fair_allocation_presummed(std::span<const double> demands,
                                          double positive_sum,
                                          std::size_t positive_count,

@@ -81,18 +81,6 @@ TreatmentPolicy drop_top_policy(std::string_view name,
 
 }  // namespace
 
-std::string_view abr_kind_name(AbrKind kind) noexcept {
-  switch (kind) {
-    case AbrKind::kHybrid:
-      return "hybrid";
-    case AbrKind::kBufferBased:
-      return "bba";
-    case AbrKind::kRate:
-      return "rate";
-  }
-  return "unknown";
-}
-
 BitrateLadder LadderPolicy::apply(const BitrateLadder& base,
                                   double device_ceiling) const {
   switch (kind) {

@@ -42,8 +42,6 @@ enum class AbrKind : std::uint8_t {
   kRate,         ///< highest rung under safety x smoothed throughput
 };
 
-std::string_view abr_kind_name(AbrKind kind) noexcept;
-
 /// Resolved per-policy ABR parameters — the SessionPool's dispatch-table
 /// entry. Reservoir/cushion/startup knobs come from the cluster's
 /// AbrConfig so one config tunes every strategy coherently.

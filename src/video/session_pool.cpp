@@ -33,10 +33,6 @@ void StallSampler::draw_gap() noexcept {
       1 + static_cast<std::uint64_t>(std::min(gap, 9.0e18));
 }
 
-SessionPool::SessionPool(const SessionParams& params, const AbrConfig& abr)
-    : SessionPool(params, std::vector<AbrPolicy>{AbrPolicy{
-                              AbrKind::kHybrid, abr}}) {}
-
 SessionPool::SessionPool(const SessionParams& params,
                          std::vector<AbrPolicy> policies)
     : params_(params), policies_(std::move(policies)) {
@@ -404,7 +400,7 @@ void SessionPool::advance_all(double dt, std::span<const double> alloc,
                               double rtt, double loss,
                               StallSampler* stalls) {
   // No-op when gather_demand just ran; restores the partition for callers
-  // that add() and advance directly (the pool-of-one Session wrapper).
+  // that add() and advance directly (tests driving a pool by hand).
   repartition();
   const std::size_t n = state_.size();
   const std::size_t policies = policies_.size();
@@ -486,7 +482,7 @@ void SessionPool::advance_all(double dt, std::span<const double> alloc,
       case AbrKind::kHybrid: {
         // The buffer-to-index map is pure arithmetic (the reservoir
         // early-out folds into the clamp: buffer <= reservoir gives
-        // t = 0 and rung 0, bit-identical to abr_select_rungs), so it
+        // t = 0 and rung 0, bit-identical to abr_select_index_rungs), so it
         // vectorizes; the rung load is a per-slot pointer gather, which
         // baseline SIMD has no instruction for, so it stays a scalar
         // loop fused with the rare switch bookkeeping.

@@ -18,9 +18,9 @@
 // that moved. Retiring pops the done bucket off the tail, so the
 // steady-state tick still performs zero heap allocations.
 //
-// The scalar `Session` class (session.h) is a pool-of-one wrapper kept for
-// unit tests and external callers; the state-machine arithmetic lives
-// here, in exactly one place.
+// The session state machine (startup -> playing <-> rebuffering -> done)
+// lives here, in exactly one place: the cluster drives one pool per link,
+// and unit tests drive a pool of one session directly.
 #pragma once
 
 #include <cstdint>
@@ -135,13 +135,9 @@ class StallSampler {
 
 class SessionPool {
  public:
-  /// Single-policy pool: every session runs the hybrid ABR with `abr` —
-  /// the pre-policy behavior (Session wrapper, unit tests).
-  SessionPool(const SessionParams& params, const AbrConfig& abr);
-
-  /// Policy-table pool: `policies` is the dispatch table Arrival::policy
-  /// indexes into (the cluster resolves named TreatmentPolicies to one
-  /// AbrPolicy per arm). At most 255 entries; must be non-empty.
+  /// `policies` is the dispatch table Arrival::policy indexes into (the
+  /// cluster resolves named TreatmentPolicies to one AbrPolicy per arm).
+  /// At most 255 entries; must be non-empty.
   SessionPool(const SessionParams& params, std::vector<AbrPolicy> policies);
 
   /// Everything a new session needs. `ladder` is not owned: it must stay
@@ -187,14 +183,6 @@ class SessionPool {
   /// the slot order this call establishes.
   void gather_demand(std::vector<double>& demands, DemandTotals& totals);
 
-  /// Back-compat shim for callers that only need the desired load.
-  void gather_demand(std::vector<double>& demands,
-                     double& desired_load_bps) {
-    DemandTotals totals;
-    gather_demand(demands, totals);
-    desired_load_bps = totals.desired_load_bps;
-  }
-
   /// Pass 3 (pass 2 is the link's allocation): integrate one tick given
   /// the per-slot grants and the link's RTT/loss. `alloc` must be indexed
   /// by the slot order of the preceding gather_demand (no add() in
@@ -216,7 +204,7 @@ class SessionPool {
   /// boundary).
   void flush_all(const std::function<void(const SessionRecord&)>& sink) const;
 
-  // ----- per-slot accessors (the Session wrapper and tests) ----------
+  // ----- per-slot accessors (tests observe slot state through these) --
 
   SessionState state(std::size_t i) const noexcept { return state_[i]; }
   double buffer_seconds(std::size_t i) const noexcept {

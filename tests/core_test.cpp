@@ -135,7 +135,6 @@ TEST(ArmMean, SplitsCorrectly) {
   rows[3].treated = true;
   EXPECT_DOUBLE_EQ(arm_mean(rows, false), 2.0);
   EXPECT_DOUBLE_EQ(arm_mean(rows, true), 15.0);
-  EXPECT_DOUBLE_EQ(overall_mean(rows), 8.5);
 }
 
 TEST(EffectEstimate, RelativeHandlesZeroBaseline) {
@@ -309,11 +308,6 @@ TEST(Gradual, SutvaTestsSkipNullSteps) {
   EXPECT_EQ(tests.significant_spillovers, 1u);
   EXPECT_NEAR(tests.max_partial_vs_average_z, 0.1 / std::sqrt(0.05), 1e-12);
   EXPECT_TRUE(tests.interference_detected);
-}
-
-TEST(EstimandNames, AllNamed) {
-  EXPECT_STREQ(estimand_name(Estimand::kTotalTreatmentEffect), "TTE");
-  EXPECT_STREQ(estimand_name(Estimand::kSpillover), "spillover");
 }
 
 }  // namespace

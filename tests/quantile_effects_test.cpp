@@ -27,9 +27,15 @@ std::vector<Observation> shifted_world(double shift, double tail_shift,
   return rows;
 }
 
+// One-rung ladder: the quantile-q effect alone.
+EffectEstimate effect_at(const std::vector<Observation>& rows, double q) {
+  const double qs[] = {q};
+  return quantile_effect_ladder(rows, qs)[0].effect;
+}
+
 TEST(QuantileEffects, RecoversMedianShift) {
   const auto rows = shifted_world(5.0, 0.0, 3);
-  const auto effect = quantile_treatment_effect(rows, 0.5);
+  const auto effect = effect_at(rows, 0.5);
   EXPECT_NEAR(effect.estimate, 5.0, 1.5);
   EXPECT_TRUE(effect.significant);
   EXPECT_LE(effect.ci_low, effect.estimate);
@@ -40,16 +46,15 @@ TEST(QuantileEffects, NullEffectUsuallyInsignificant) {
   int significant = 0;
   for (int rep = 0; rep < 10; ++rep) {
     const auto rows = shifted_world(0.0, 0.0, 100 + rep);
-    significant +=
-        quantile_treatment_effect(rows, 0.5).significant;
+    significant += effect_at(rows, 0.5).significant;
   }
   EXPECT_LE(significant, 2);
 }
 
 TEST(QuantileEffects, TailOnlyEffectInvisibleAtMedian) {
   const auto rows = shifted_world(0.0, 25.0, 17);
-  const auto median = quantile_treatment_effect(rows, 0.5);
-  const auto p99 = quantile_treatment_effect(rows, 0.99);
+  const auto median = effect_at(rows, 0.5);
+  const auto p99 = effect_at(rows, 0.99);
   EXPECT_GT(p99.estimate, 5.0);
   EXPECT_LT(std::abs(median.estimate), std::abs(p99.estimate) / 3.0);
 }
@@ -71,14 +76,13 @@ TEST(QuantileEffects, TinyArmsThrow) {
     rows[i].treated = i < 3;  // only 3 treated
     rows[i].outcome = static_cast<double>(i);
   }
-  EXPECT_THROW(quantile_treatment_effect(rows, 0.5),
-               std::invalid_argument);
+  EXPECT_THROW(effect_at(rows, 0.5), std::invalid_argument);
 }
 
 TEST(QuantileEffects, DeterministicForSeed) {
   const auto rows = shifted_world(1.0, 0.0, 31);
-  const auto a = quantile_treatment_effect(rows, 0.9);
-  const auto b = quantile_treatment_effect(rows, 0.9);
+  const auto a = effect_at(rows, 0.9);
+  const auto b = effect_at(rows, 0.9);
   EXPECT_DOUBLE_EQ(a.ci_low, b.ci_low);
   EXPECT_DOUBLE_EQ(a.ci_high, b.ci_high);
 }

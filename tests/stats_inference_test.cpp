@@ -1,9 +1,8 @@
-// Welch t-tests, bootstrap, power analysis, autocorrelation.
+// Welch t-tests, bootstrap, power analysis.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "stats/autocorr.h"
 #include "stats/bootstrap.h"
 #include "stats/descriptive.h"
 #include "stats/power.h"
@@ -52,29 +51,6 @@ TEST(Welch, ThrowsOnTinySamples) {
   EXPECT_THROW(
       welch_t_test(std::vector<double>{1.0}, std::vector<double>{1.0, 2.0}),
       std::invalid_argument);
-}
-
-TEST(PairedT, RemovesSharedVariance) {
-  Rng rng(11);
-  std::vector<double> a(100), b(100);
-  for (int i = 0; i < 100; ++i) {
-    const double base = rng.normal(0.0, 10.0);  // large shared component
-    a[i] = base + 0.5 + rng.normal(0.0, 0.1);
-    b[i] = base + rng.normal(0.0, 0.1);
-  }
-  const TTestResult paired = paired_t_test(a, b);
-  EXPECT_TRUE(paired.significant);
-  EXPECT_NEAR(paired.estimate, 0.5, 0.1);
-  // Unpaired Welch on the same data cannot see it.
-  EXPECT_FALSE(welch_t_test(a, b).significant);
-}
-
-TEST(OneSampleT, AgainstKnownMean) {
-  const std::vector<double> xs{9.8, 10.1, 10.0, 9.9, 10.2};
-  const TTestResult t = one_sample_t_test(xs, 10.0);
-  EXPECT_FALSE(t.significant);
-  const TTestResult t2 = one_sample_t_test(xs, 5.0);
-  EXPECT_TRUE(t2.significant);
 }
 
 TEST(Bootstrap, MeanCiCoversSampleMean) {
@@ -164,44 +140,6 @@ TEST(Power, InvalidInputsThrow) {
   spec.effect = 0.5;
   spec.allocation = 0.0;
   EXPECT_THROW(required_sample_size(spec), std::invalid_argument);
-}
-
-TEST(Autocorr, WhiteNoiseNearZero) {
-  Rng rng(29);
-  std::vector<double> xs(5000);
-  for (auto& x : xs) x = rng.normal(0.0, 1.0);
-  EXPECT_NEAR(autocorrelation(xs, 1), 0.0, 0.05);
-  EXPECT_DOUBLE_EQ(autocorrelation(xs, 0), 1.0);
-}
-
-TEST(Autocorr, Ar1SignatureDetected) {
-  Rng rng(31);
-  std::vector<double> xs(5000);
-  double e = 0.0;
-  for (auto& x : xs) {
-    e = 0.7 * e + rng.normal(0.0, 1.0);
-    x = e;
-  }
-  EXPECT_NEAR(autocorrelation(xs, 1), 0.7, 0.05);
-  EXPECT_GT(ljung_box_q(xs, 5), 100.0);
-}
-
-TEST(Autocorr, BartlettWeightsShape) {
-  const auto w = bartlett_weights(2);
-  ASSERT_EQ(w.size(), 3u);
-  EXPECT_DOUBLE_EQ(w[0], 1.0);
-  EXPECT_NEAR(w[1], 2.0 / 3.0, 1e-12);
-  EXPECT_NEAR(w[2], 1.0 / 3.0, 1e-12);
-}
-
-TEST(Autocorr, DiffAndMovingAverage) {
-  const std::vector<double> xs{1.0, 3.0, 6.0, 10.0};
-  const auto d = diff(xs);
-  ASSERT_EQ(d.size(), 3u);
-  EXPECT_DOUBLE_EQ(d[2], 4.0);
-  const auto ma = moving_average(xs, 3);
-  EXPECT_NEAR(ma[1], (1.0 + 3.0 + 6.0) / 3.0, 1e-12);
-  EXPECT_NEAR(ma[0], (1.0 + 3.0) / 2.0, 1e-12);  // truncated edge
 }
 
 }  // namespace

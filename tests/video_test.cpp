@@ -2,12 +2,16 @@
 // state machine.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <span>
+#include <vector>
+
 #include "stats/rng.h"
 #include "video/abr.h"
 #include "video/bitrate.h"
 #include "video/demand.h"
 #include "video/fluid_link.h"
-#include "video/session.h"
+#include "video/session_pool.h"
 
 namespace xp::video {
 namespace {
@@ -17,14 +21,6 @@ TEST(BitrateLadder, StandardIsAscending) {
   EXPECT_GE(ladder.size(), 10u);
   EXPECT_DOUBLE_EQ(ladder.lowest(), 235e3);
   EXPECT_DOUBLE_EQ(ladder.highest(), 16000e3);
-}
-
-TEST(BitrateLadder, HighestAtMost) {
-  const auto ladder = BitrateLadder::standard();
-  EXPECT_DOUBLE_EQ(ladder.highest_at_most(3000e3), 3000e3);
-  EXPECT_DOUBLE_EQ(ladder.highest_at_most(3100e3), 3000e3);
-  EXPECT_DOUBLE_EQ(ladder.highest_at_most(100e3), 235e3);  // floor rung
-  EXPECT_DOUBLE_EQ(ladder.highest_at_most(1e9), 16000e3);
 }
 
 TEST(BitrateLadder, CappedTruncates) {
@@ -52,43 +48,58 @@ TEST(PerceptualQuality, MonotoneAndBounded) {
   EXPECT_DOUBLE_EQ(perceptual_quality(0.0), 0.0);
 }
 
+// The ABR strategies pick a rung index over a flattened ladder; these
+// read the picked rung back as rungs[k].
 TEST(Abr, ReservoirStreamsLowest) {
-  BufferBasedAbr abr(BitrateLadder::standard());
-  EXPECT_DOUBLE_EQ(abr.select(0.0), 235e3);
-  EXPECT_DOUBLE_EQ(abr.select(9.9), 235e3);
+  const auto ladder = BitrateLadder::standard();
+  const double* rungs = ladder.rungs().data();
+  const double top = static_cast<double>(ladder.size() - 1);
+  EXPECT_DOUBLE_EQ(rungs[abr_select_index_rungs(top, AbrConfig{}, 0.0)],
+                   235e3);
+  EXPECT_DOUBLE_EQ(rungs[abr_select_index_rungs(top, AbrConfig{}, 9.9)],
+                   235e3);
 }
 
 TEST(Abr, TopOfCushionStreamsHighest) {
-  BufferBasedAbr abr(BitrateLadder::standard());
-  EXPECT_DOUBLE_EQ(abr.select(60.0), 16000e3);
-  EXPECT_DOUBLE_EQ(abr.select(300.0), 16000e3);
+  const auto ladder = BitrateLadder::standard();
+  const double* rungs = ladder.rungs().data();
+  const double top = static_cast<double>(ladder.size() - 1);
+  EXPECT_DOUBLE_EQ(rungs[abr_select_index_rungs(top, AbrConfig{}, 60.0)],
+                   16000e3);
+  EXPECT_DOUBLE_EQ(rungs[abr_select_index_rungs(top, AbrConfig{}, 300.0)],
+                   16000e3);
 }
 
 TEST(Abr, MonotoneInBuffer) {
-  BufferBasedAbr abr(BitrateLadder::standard());
+  const auto ladder = BitrateLadder::standard();
+  const double* rungs = ladder.rungs().data();
+  const double top = static_cast<double>(ladder.size() - 1);
   double prev = 0.0;
   for (double buffer = 0.0; buffer <= 70.0; buffer += 2.0) {
-    const double rate = abr.select(buffer);
+    const double rate = rungs[abr_select_index_rungs(top, AbrConfig{}, buffer)];
     EXPECT_GE(rate, prev);
     prev = rate;
   }
 }
 
 TEST(Abr, CappedLadderNeverExceedsCap) {
-  BufferBasedAbr abr(BitrateLadder::standard().capped(3000e3));
+  const auto ladder = BitrateLadder::standard().capped(3000e3);
+  const double* rungs = ladder.rungs().data();
+  const double top = static_cast<double>(ladder.size() - 1);
   for (double buffer = 0.0; buffer <= 100.0; buffer += 5.0) {
-    EXPECT_LE(abr.select(buffer), 3000e3);
+    EXPECT_LE(rungs[abr_select_index_rungs(top, AbrConfig{}, buffer)],
+              3000e3);
   }
 }
 
-TEST(Abr, RungAtMostFloorsAndCeils) {
+TEST(Abr, RungIndexAtMostFloorsAndCeils) {
   const auto ladder = BitrateLadder::standard();
   const double* rungs = ladder.rungs().data();
   const double top = static_cast<double>(ladder.size() - 1);
-  EXPECT_DOUBLE_EQ(rung_at_most(rungs, top, 100e3), 235e3);  // floor rung
-  EXPECT_DOUBLE_EQ(rung_at_most(rungs, top, 3100e3), 3000e3);
-  EXPECT_DOUBLE_EQ(rung_at_most(rungs, top, 3000e3), 3000e3);  // exact hit
-  EXPECT_DOUBLE_EQ(rung_at_most(rungs, top, 1e9), 16000e3);
+  EXPECT_DOUBLE_EQ(rungs[rung_index_at_most(rungs, top, 100e3)], 235e3);
+  EXPECT_DOUBLE_EQ(rungs[rung_index_at_most(rungs, top, 3100e3)], 3000e3);
+  EXPECT_DOUBLE_EQ(rungs[rung_index_at_most(rungs, top, 3000e3)], 3000e3);
+  EXPECT_DOUBLE_EQ(rungs[rung_index_at_most(rungs, top, 1e9)], 16000e3);
 }
 
 TEST(Abr, BbaSelectIsMonotoneAndRateLinear) {
@@ -96,20 +107,20 @@ TEST(Abr, BbaSelectIsMonotoneAndRateLinear) {
   const double* rungs = ladder.rungs().data();
   const double top = static_cast<double>(ladder.size() - 1);
   const AbrConfig config;
+  auto bba = [&](double buffer) {
+    return rungs[bba_select_index_rungs(rungs, top, config, buffer)];
+  };
   // Reservoir and full-cushion endpoints match the hybrid map...
-  EXPECT_DOUBLE_EQ(bba_select_rungs(rungs, top, config, 5.0), 235e3);
-  EXPECT_DOUBLE_EQ(bba_select_rungs(rungs, top, config, 60.0), 16000e3);
+  EXPECT_DOUBLE_EQ(bba(5.0), 235e3);
+  EXPECT_DOUBLE_EQ(bba(60.0), 16000e3);
   // ...but mid-cushion BBA maps linearly in *rate*: on the roughly
   // geometric ladder that sits well above the index interpolation
   // (half the rate range lands among the top rungs).
-  const double mid_bba = bba_select_rungs(rungs, top, config, 35.0);
-  const double mid_hybrid = abr_select_rungs(rungs, top, config, 35.0);
-  EXPECT_GT(mid_bba, mid_hybrid);
+  EXPECT_GT(bba(35.0), rungs[abr_select_index_rungs(top, config, 35.0)]);
   double prev = 0.0;
   for (double buffer = 0.0; buffer <= 70.0; buffer += 2.0) {
-    const double rate = bba_select_rungs(rungs, top, config, buffer);
-    EXPECT_GE(rate, prev);
-    prev = rate;
+    EXPECT_GE(bba(buffer), prev);
+    prev = bba(buffer);
   }
 }
 
@@ -117,20 +128,47 @@ TEST(Abr, RateSelectTracksThroughput) {
   const auto ladder = BitrateLadder::standard();
   const double* rungs = ladder.rungs().data();
   const double top = static_cast<double>(ladder.size() - 1);
-  EXPECT_DOUBLE_EQ(rate_select_rungs(rungs, top, 0.0), 235e3);
-  EXPECT_DOUBLE_EQ(rate_select_rungs(rungs, top, 2e6), 1750e3);
-  EXPECT_DOUBLE_EQ(rate_select_rungs(rungs, top, 50e6), 16000e3);
+  EXPECT_DOUBLE_EQ(rungs[rate_select_index_rungs(rungs, top, 0.0)], 235e3);
+  EXPECT_DOUBLE_EQ(rungs[rate_select_index_rungs(rungs, top, 2e6)], 1750e3);
+  EXPECT_DOUBLE_EQ(rungs[rate_select_index_rungs(rungs, top, 50e6)],
+                   16000e3);
+}
+
+TEST(Abr, StartupIsConfiguredRateUnderLadderTop) {
+  EXPECT_DOUBLE_EQ(abr_startup(BitrateLadder::standard(), AbrConfig{}),
+                   1050e3);
+  EXPECT_DOUBLE_EQ(
+      abr_startup(BitrateLadder::standard().capped(750e3), AbrConfig{}),
+      750e3);
+}
+
+// Water-fill through the presummed allocator, summing the positive demands
+// the way the session pool's gather pass does.
+std::vector<double> water_fill(std::span<const double> demands,
+                               double capacity) {
+  double sum = 0.0;
+  std::size_t count = 0;
+  for (double d : demands) {
+    if (d > 0.0) {
+      sum += d;
+      ++count;
+    }
+  }
+  std::vector<double> alloc(demands.size()), scratch;
+  max_min_fair_allocation_presummed(demands, sum, count, capacity, alloc,
+                                    scratch);
+  return alloc;
 }
 
 TEST(MaxMinFair, EqualSplitWhenOversubscribed) {
   const std::vector<double> demands{10.0, 10.0, 10.0, 10.0};
-  const auto alloc = max_min_fair_allocation(demands, 20.0);
+  const auto alloc = water_fill(demands, 20.0);
   for (double a : alloc) EXPECT_NEAR(a, 5.0, 1e-12);
 }
 
 TEST(MaxMinFair, SmallDemandsFullySatisfied) {
   const std::vector<double> demands{1.0, 2.0, 100.0};
-  const auto alloc = max_min_fair_allocation(demands, 10.0);
+  const auto alloc = water_fill(demands, 10.0);
   EXPECT_NEAR(alloc[0], 1.0, 1e-12);
   EXPECT_NEAR(alloc[1], 2.0, 1e-12);
   EXPECT_NEAR(alloc[2], 7.0, 1e-12);
@@ -142,7 +180,7 @@ TEST(MaxMinFair, NeverExceedsCapacityOrDemand) {
     std::vector<double> demands(20);
     for (auto& d : demands) d = rng.uniform(0.0, 10.0);
     const double capacity = rng.uniform(1.0, 100.0);
-    const auto alloc = max_min_fair_allocation(demands, capacity);
+    const auto alloc = water_fill(demands, capacity);
     double total = 0.0;
     for (std::size_t i = 0; i < alloc.size(); ++i) {
       EXPECT_LE(alloc[i], demands[i] + 1e-9);
@@ -153,19 +191,24 @@ TEST(MaxMinFair, NeverExceedsCapacityOrDemand) {
 }
 
 TEST(MaxMinFair, EmptyAndZeroCapacity) {
-  EXPECT_TRUE(max_min_fair_allocation({}, 10.0).empty());
-  const auto alloc = max_min_fair_allocation(std::vector<double>{5.0}, 0.0);
+  EXPECT_TRUE(water_fill({}, 10.0).empty());
+  const auto alloc = water_fill(std::vector<double>{5.0}, 0.0);
   EXPECT_DOUBLE_EQ(alloc[0], 0.0);
+}
+
+// The link sees one session demanding `bps`: demand sum `bps`, one
+// positive demand, desired load `bps`.
+void offer(FluidLink& link, double bps, double dt) {
+  const std::array<double, 1> demands{bps};
+  std::vector<double> alloc;
+  link.allocate_and_advance(demands, bps, bps, 1, dt, alloc);
 }
 
 TEST(FluidLink, QueueBuildsUnderSustainedOverload) {
   FluidLinkConfig config;
   config.capacity_bps = 1e9;
   FluidLink link(config);
-  const std::vector<double> demands{2e9};  // persistent 2x overload
-  for (int i = 0; i < 1200; ++i) {
-    link.allocate_and_advance(demands, 2e9, 1.0);
-  }
+  for (int i = 0; i < 1200; ++i) offer(link, 2e9, 1.0);  // 2x overload
   EXPECT_GT(link.queueing_delay(), 0.9 * config.buffer_seconds);
   EXPECT_GT(link.rtt(), config.base_rtt + 0.9 * config.buffer_seconds);
   EXPECT_GT(link.loss_fraction(), config.base_loss);
@@ -175,12 +218,8 @@ TEST(FluidLink, QueueDrainsWhenLoadRecedes) {
   FluidLinkConfig config;
   config.capacity_bps = 1e9;
   FluidLink link(config);
-  for (int i = 0; i < 1200; ++i) {
-    link.allocate_and_advance(std::vector<double>{3e9}, 3e9, 1.0);
-  }
-  for (int i = 0; i < 1200; ++i) {
-    link.allocate_and_advance(std::vector<double>{1e8}, 1e8, 1.0);
-  }
+  for (int i = 0; i < 1200; ++i) offer(link, 3e9, 1.0);
+  for (int i = 0; i < 1200; ++i) offer(link, 1e8, 1.0);
   EXPECT_LT(link.queueing_delay(), 0.02);
   EXPECT_NEAR(link.loss_fraction(), config.base_loss, 1e-4);
 }
@@ -189,9 +228,7 @@ TEST(FluidLink, NoQueueBelowKnee) {
   FluidLinkConfig config;
   config.capacity_bps = 1e9;
   FluidLink link(config);
-  for (int i = 0; i < 600; ++i) {
-    link.allocate_and_advance(std::vector<double>{8e8}, 8e8, 1.0);
-  }
+  for (int i = 0; i < 600; ++i) offer(link, 8e8, 1.0);
   EXPECT_NEAR(link.queueing_delay(), 0.0, 1e-6);
 }
 
@@ -200,10 +237,28 @@ TEST(FluidLink, LossMonotoneInOccupancy) {
   FluidLink link(config);
   double prev_loss = -1.0;
   for (int i = 0; i < 40; ++i) {
-    link.allocate_and_advance(std::vector<double>{5e9}, 5e9, 10.0);
+    offer(link, 5e9, 10.0);
     EXPECT_GE(link.loss_fraction(), prev_loss);
     prev_loss = link.loss_fraction();
   }
+}
+
+TEST(FluidLink, GrantsAreDemandsUnderCapacityAndFairOver) {
+  FluidLinkConfig config;
+  config.capacity_bps = 10.0;
+  FluidLink link(config);
+  std::vector<double> alloc;
+  const std::vector<double> light{1.0, 0.0, 2.0};
+  const auto under = link.allocate_and_advance(light, 3.0, 3.0, 2, 1.0, alloc);
+  EXPECT_EQ(under.data(), light.data());  // undersubscribed: no copy
+  const std::vector<double> heavy{1.0, 0.0, 100.0};
+  const auto over = link.allocate_and_advance(heavy, 101.0, 101.0, 2, 1.0,
+                                              alloc);
+  ASSERT_EQ(over.size(), 3u);
+  EXPECT_DOUBLE_EQ(over[0], 1.0);
+  EXPECT_DOUBLE_EQ(over[1], 0.0);
+  EXPECT_DOUBLE_EQ(over[2], 9.0);
+  EXPECT_DOUBLE_EQ(link.last_utilization(), 1.0);
 }
 
 TEST(Demand, DiurnalShapePeaksInEvening) {
@@ -236,102 +291,112 @@ TEST(Demand, HourAndDayHelpers) {
   EXPECT_EQ(day_of(86400.0 * 3 + 5), 3u);
 }
 
-SessionParams fast_session_params() {
-  SessionParams params;
-  params.access_rate_sigma = 0.0;  // deterministic access for unit tests
-  return params;
-}
-
-Session make_session(xp::stats::Rng& rng, double ceiling = 16e6,
-                     double duration = 600.0) {
-  return Session(1, 1, 0, false, 0.0, duration, BitrateLadder::standard(),
-                 AbrConfig{}, ceiling, fast_session_params(), rng);
-}
+// One session alone in a pool: hybrid ABR, a 30 Mb/s access rate and 30 s
+// of startup patience, on the standard ladder capped at `ceiling`. Tests
+// drive `pool` directly, granting slot 0 a rate per one-second tick.
+struct OneSession {
+  explicit OneSession(double ceiling = 16e6, double duration = 600.0)
+      : ladder(BitrateLadder::standard().capped(ceiling)) {
+    SessionPool::Arrival arrival;
+    arrival.id = arrival.account = 1;
+    arrival.duration = duration;
+    arrival.ladder = &ladder;
+    arrival.patience = 30.0;
+    arrival.access_rate_bps = 30e6;
+    pool.add(arrival);
+  }
+  BitrateLadder ladder;
+  SessionPool pool{SessionParams{}, {AbrPolicy{AbrKind::kHybrid, AbrConfig{}}}};
+};
 
 TEST(Session, StartsInStartupAndBeginsPlaying) {
-  xp::stats::Rng rng(1);
-  Session session = make_session(rng);
-  EXPECT_EQ(session.state(), Session::State::kStartup);
+  OneSession s;
+  EXPECT_EQ(s.pool.state(0), SessionState::kStartup);
+  EXPECT_DOUBLE_EQ(s.pool.demand(0), 30e6);  // fetches at access speed
   // Grant a generous rate: startup completes in the first ticks.
-  for (int i = 0; i < 5 && !0; ++i) {
-    session.advance(1.0, 20e6, 0.03, 0.0);
+  for (int i = 0; i < 5; ++i) {
+    s.pool.advance_all(1.0, std::array{20e6}, 0.03, 0.0);
   }
-  EXPECT_EQ(session.state(), Session::State::kPlaying);
-  const SessionRecord r = session.finalize();
+  EXPECT_EQ(s.pool.state(0), SessionState::kPlaying);
+  const SessionRecord r = s.pool.finalize(0);
   EXPECT_GT(r.play_delay, 0.0);
   EXPECT_LT(r.play_delay, 3.0);
 }
 
 TEST(Session, StarvedSessionCancels) {
-  xp::stats::Rng rng(2);
-  Session session = make_session(rng);
-  for (int i = 0; i < 120 && !session.finished(); ++i) {
-    session.advance(1.0, 1e3, 0.03, 0.0);  // 1 kb/s: hopeless
+  OneSession s;
+  for (int i = 0; i < 120 && s.pool.state(0) != SessionState::kDone; ++i) {
+    s.pool.advance_all(1.0, std::array{1e3}, 0.03, 0.0);  // hopeless
   }
-  EXPECT_TRUE(session.finished());
-  EXPECT_TRUE(session.finalize().cancelled_start);
+  EXPECT_EQ(s.pool.state(0), SessionState::kDone);
+  EXPECT_TRUE(s.pool.finalize(0).cancelled_start);
+  EXPECT_DOUBLE_EQ(s.pool.demand(0), 0.0);
+  EXPECT_DOUBLE_EQ(s.pool.sustained_load(0), 0.0);
 }
 
 TEST(Session, RebuffersWhenRateCollapses) {
-  xp::stats::Rng rng(3);
-  Session session = make_session(rng);
-  for (int i = 0; i < 30; ++i) session.advance(1.0, 20e6, 0.03, 0.0);
-  EXPECT_EQ(session.state(), Session::State::kPlaying);
+  OneSession s;
+  for (int i = 0; i < 30; ++i) {
+    s.pool.advance_all(1.0, std::array{20e6}, 0.03, 0.0);
+  }
+  EXPECT_EQ(s.pool.state(0), SessionState::kPlaying);
   // Starve long enough to drain the buffer entirely.
-  for (int i = 0; i < 120; ++i) session.advance(1.0, 0.0, 0.03, 0.0);
-  const SessionRecord r = session.finalize();
+  for (int i = 0; i < 120; ++i) {
+    s.pool.advance_all(1.0, std::array{0.0}, 0.03, 0.0);
+  }
+  const SessionRecord r = s.pool.finalize(0);
   EXPECT_GE(r.rebuffer_count, 1u);
   EXPECT_TRUE(r.had_rebuffer);
   EXPECT_GT(r.rebuffer_seconds, 0.0);
 }
 
 TEST(Session, CompletesAfterDuration) {
-  xp::stats::Rng rng(4);
-  Session session = make_session(rng, 16e6, 120.0);
-  for (int i = 0; i < 300 && !session.finished(); ++i) {
-    session.advance(1.0, 20e6, 0.03, 0.0);
+  OneSession s(16e6, 120.0);
+  for (int i = 0; i < 300 && s.pool.state(0) != SessionState::kDone; ++i) {
+    s.pool.advance_all(1.0, std::array{20e6}, 0.03, 0.0);
   }
-  EXPECT_TRUE(session.finished());
-  const SessionRecord r = session.finalize();
+  EXPECT_EQ(s.pool.state(0), SessionState::kDone);
+  const SessionRecord r = s.pool.finalize(0);
   EXPECT_FALSE(r.cancelled_start);
   EXPECT_NEAR(r.duration, 120.0, 2.0);
   EXPECT_GT(r.avg_bitrate_bps, 235e3);
 }
 
 TEST(Session, MinRttTracksLowestSeen) {
-  xp::stats::Rng rng(5);
-  Session session = make_session(rng);
-  session.advance(1.0, 20e6, 0.050, 0.0);
-  session.advance(1.0, 20e6, 0.030, 0.0);
-  session.advance(1.0, 20e6, 0.200, 0.0);
-  EXPECT_DOUBLE_EQ(session.finalize().min_rtt, 0.030);
+  OneSession s;
+  for (double rtt : {0.050, 0.030, 0.200}) {
+    s.pool.advance_all(1.0, std::array{20e6}, rtt, 0.0);
+  }
+  EXPECT_DOUBLE_EQ(s.pool.finalize(0).min_rtt, 0.030);
 }
 
 TEST(Session, LossShowsUpAsRetransmits) {
-  xp::stats::Rng rng(6);
-  Session session = make_session(rng);
-  for (int i = 0; i < 60; ++i) session.advance(1.0, 10e6, 0.03, 0.02);
-  const SessionRecord r = session.finalize();
+  OneSession s;
+  for (int i = 0; i < 60; ++i) {
+    s.pool.advance_all(1.0, std::array{10e6}, 0.03, 0.02);
+  }
+  const SessionRecord r = s.pool.finalize(0);
   EXPECT_GT(r.retransmit_fraction, 0.015);
   EXPECT_LT(r.retransmit_fraction, 0.05);
 }
 
 TEST(Session, CappedCeilingLimitsBitrate) {
-  xp::stats::Rng rng(7);
-  Session session = make_session(rng, 1750e3, 300.0);
-  for (int i = 0; i < 400 && !session.finished(); ++i) {
-    session.advance(1.0, 50e6, 0.03, 0.0);
+  OneSession s(1750e3, 300.0);
+  for (int i = 0; i < 400 && s.pool.state(0) != SessionState::kDone; ++i) {
+    s.pool.advance_all(1.0, std::array{50e6}, 0.03, 0.0);
+    EXPECT_LE(s.pool.current_bitrate(0), 1750e3);
   }
-  EXPECT_LE(session.finalize().avg_bitrate_bps, 1750e3 + 1.0);
+  EXPECT_LE(s.pool.finalize(0).avg_bitrate_bps, 1750e3 + 1.0);
 }
 
 TEST(Session, SpuriousRebufferInjection) {
-  xp::stats::Rng rng(8);
-  Session session = make_session(rng);
-  for (int i = 0; i < 20; ++i) session.advance(1.0, 20e6, 0.03, 0.0);
-  ASSERT_EQ(session.state(), Session::State::kPlaying);
-  session.inject_spurious_rebuffer(1.5);
-  const SessionRecord r = session.finalize();
+  OneSession s;
+  for (int i = 0; i < 20; ++i) {
+    s.pool.advance_all(1.0, std::array{20e6}, 0.03, 0.0);
+  }
+  ASSERT_EQ(s.pool.state(0), SessionState::kPlaying);
+  s.pool.inject_spurious_rebuffer(0, 1.5);
+  const SessionRecord r = s.pool.finalize(0);
   EXPECT_EQ(r.rebuffer_count, 1u);
   EXPECT_DOUBLE_EQ(r.rebuffer_seconds, 1.5);
 }

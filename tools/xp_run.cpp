@@ -12,7 +12,6 @@
 // can simply re-invoke until the exit code clears. Kill it at any
 // moment: with --journal, completed cells are already on disk and the
 // next invocation resumes instead of restarting.
-#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -20,7 +19,6 @@
 #include <exception>
 #include <string>
 #include <string_view>
-#include <system_error>
 #include <vector>
 
 #include "core/estimator.h"
@@ -28,6 +26,8 @@
 #include "lab/journal.h"
 #include "lab/registry.h"
 #include "util/runner.h"
+
+#include "parse_number.h"
 
 namespace {
 
@@ -69,22 +69,6 @@ std::vector<std::string> split_csv(const std::string& csv) {
     start = comma + 1;
   }
   return out;
-}
-
-/// Parse the whole token as a number; a malformed or partly consumed
-/// token ("O.95", "5k", "") is a usage error naming the flag and token,
-/// never a silent zero or a truncated value.
-template <typename T>
-T parse_number(const char* argv0, const char* flag, std::string_view token) {
-  T value{};
-  const char* end = token.data() + token.size();
-  const auto [ptr, error] = std::from_chars(token.data(), end, value);
-  if (error != std::errc{} || ptr != end) {
-    std::fprintf(stderr, "%s: %s: malformed number '%.*s'\n", argv0, flag,
-                 static_cast<int>(token.size()), token.data());
-    std::exit(2);
-  }
-  return value;
 }
 
 }  // namespace

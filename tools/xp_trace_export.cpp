@@ -9,6 +9,8 @@
 // interface every backend shares), so dumbbell lab runs export exactly
 // like cluster weeks. Format is chosen by extension: ".csv" writes the
 // text codec, anything else (conventionally ".xpt") the binary one.
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -18,6 +20,8 @@
 #include "lab/registry.h"
 #include "trace/codec.h"
 #include "trace/writer.h"
+
+#include "parse_number.h"
 
 namespace {
 
@@ -54,11 +58,19 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--out") == 0) {
       out_path = value();
     } else if (std::strcmp(argv[i], "--allocation") == 0) {
-      allocation = std::atof(value());
+      allocation = parse_number<double>(argv[0], "--allocation", value());
     } else if (std::strcmp(argv[i], "--seed") == 0) {
-      seed = std::strtoull(value(), nullptr, 10);
+      seed = parse_number<std::uint64_t>(argv[0], "--seed", value());
     } else if (std::strcmp(argv[i], "--duration-scale") == 0) {
-      duration_scale = std::atof(value());
+      const char* token = value();
+      duration_scale = parse_number<double>(argv[0], "--duration-scale", token);
+      if (!std::isfinite(duration_scale) || duration_scale <= 0.0) {
+        std::fprintf(stderr,
+                     "%s: --duration-scale: must be finite and positive, "
+                     "got '%s'\n",
+                     argv[0], token);
+        return 2;
+      }
     } else {
       std::fprintf(stderr, "%s: unknown argument %s\n", argv[0], argv[i]);
       return usage(argv[0]);
