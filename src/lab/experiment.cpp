@@ -22,15 +22,6 @@ void check(bool ok, const std::string& field, const std::string& requirement) {
   }
 }
 
-/// Source knobs are checked before any source is built: a factory may
-/// simulate while it is constructed (trace/self_calibration does), where
-/// a bad horizon scale would surface as some backend's own error instead
-/// of naming the spec field.
-void validate_tuning(const SourceOptions& tuning) {
-  check(std::isfinite(tuning.duration_scale) && tuning.duration_scale > 0.0,
-        "tuning.duration_scale", "must be finite and positive");
-}
-
 /// Run one cell's simulation under the failure policy. Writes the table,
 /// status (state, error, attempts), and the seed actually used; rethrows
 /// only in fail-fast mode (the Runner collects the first exception,
@@ -82,10 +73,18 @@ void run_cell(core::ExperimentCell& cell, const DataSource& source,
 
 }  // namespace
 
+void validate(const SourceOptions& options, const std::string& owner) {
+  if (!(std::isfinite(options.duration_scale) &&
+        options.duration_scale > 0.0)) {
+    throw std::invalid_argument(owner +
+                                "duration_scale must be finite and positive");
+  }
+}
+
 void validate(const ExperimentSpec& spec) {
   check(!spec.scenario.empty(), "scenario", "must name a registered scenario");
   check(spec.replicates > 0, "replicates", "must be positive");
-  validate_tuning(spec.tuning);
+  validate(spec.tuning, "ExperimentSpec: tuning.");
   check(!spec.allocations.empty(), "allocations",
         "must contain at least one sweep point");
   for (std::size_t i = 0; i < spec.allocations.size(); ++i) {
@@ -140,7 +139,11 @@ ExperimentReport run_experiment(const ExperimentSpec& spec,
 ExperimentReport run_experiment(const ExperimentSpec& spec,
                                 const JournalOptions& journal_options,
                                 util::Runner& runner) {
-  validate_tuning(spec.tuning);
+  // Source knobs are checked before any source is built: a factory may
+  // simulate while it is constructed (trace/self_calibration does), where
+  // a bad horizon scale would surface as some backend's own error instead
+  // of naming the spec field.
+  validate(spec.tuning, "ExperimentSpec: tuning.");
   const std::unique_ptr<DataSource> source =
       make_scenario(spec.scenario, spec.tuning);
   // Resolve every estimator key up front: an unknown key throws (listing

@@ -88,6 +88,12 @@ struct ExperimentSpec {
   core::DataQualityOptions quality;
 };
 
+/// Check the source knobs every factory relies on (a finite, positive
+/// duration_scale) before a source is built; throws std::invalid_argument
+/// naming the field after `owner` ("ExperimentSpec: tuning." for a spec).
+void validate(const SourceOptions& options,
+              const std::string& owner = "SourceOptions: ");
+
 /// Validate a spec the way video::validate checks a ClusterConfig: throws
 /// std::invalid_argument naming the offending field (empty scenario, zero
 /// replicates, non-finite or non-positive tuning.duration_scale,

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -52,6 +53,25 @@ TEST(Descriptive, QuantileClampsOutOfRange) {
   EXPECT_DOUBLE_EQ(quantile(xs, -0.5), 1.0);
   EXPECT_DOUBLE_EQ(quantile(xs, 1.5), 2.0);
 }
+
+// Property sweep: quantile_sorted is monotone in q for random-ish data.
+class QuantileMonotone : public ::testing::TestWithParam<int> {};
+
+TEST_P(QuantileMonotone, MonotoneInQ) {
+  std::vector<double> xs;
+  const int n = GetParam();
+  for (int i = 0; i < n; ++i) xs.push_back(((i * 2654435761u) % 1000) / 10.0);
+  std::sort(xs.begin(), xs.end());
+  double prev = quantile_sorted(xs, 0.0);
+  for (double q = 0.05; q <= 1.0; q += 0.05) {
+    const double cur = quantile_sorted(xs, q);
+    EXPECT_GE(cur, prev);
+    prev = cur;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, QuantileMonotone,
+                         ::testing::Values(1, 2, 3, 10, 101, 1000));
 
 }  // namespace
 }  // namespace xp::stats

@@ -15,8 +15,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <optional>
+#include <stdexcept>
 #include <string>
 
+#include "lab/experiment.h"
 #include "lab/registry.h"
 #include "trace/codec.h"
 #include "trace/writer.h"
@@ -41,8 +44,10 @@ int usage(const char* argv0) {
 int main(int argc, char** argv) {
   std::string scenario;
   std::string out_path;
-  double allocation = -1.0;  // default: the source's own
-  double duration_scale = 1.0;
+  std::optional<double> allocation;  // default: the source's own
+  const char* allocation_token = nullptr;
+  xp::lab::SourceOptions options;
+  const char* duration_scale_token = nullptr;
   std::uint64_t seed = 1;
 
   for (int i = 1; i < argc; ++i) {
@@ -58,46 +63,56 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--out") == 0) {
       out_path = value();
     } else if (std::strcmp(argv[i], "--allocation") == 0) {
-      allocation = parse_number<double>(argv[0], "--allocation", value());
+      allocation_token = value();
+      allocation =
+          parse_number<double>(argv[0], "--allocation", allocation_token);
     } else if (std::strcmp(argv[i], "--seed") == 0) {
       seed = parse_number<std::uint64_t>(argv[0], "--seed", value());
     } else if (std::strcmp(argv[i], "--duration-scale") == 0) {
-      const char* token = value();
-      duration_scale = parse_number<double>(argv[0], "--duration-scale", token);
-      if (!std::isfinite(duration_scale) || duration_scale <= 0.0) {
-        std::fprintf(stderr,
-                     "%s: --duration-scale: must be finite and positive, "
-                     "got '%s'\n",
-                     argv[0], token);
-        return 2;
-      }
+      duration_scale_token = value();
+      options.duration_scale = parse_number<double>(
+          argv[0], "--duration-scale", duration_scale_token);
     } else {
       std::fprintf(stderr, "%s: unknown argument %s\n", argv[0], argv[i]);
       return usage(argv[0]);
     }
   }
   if (scenario.empty() || out_path.empty()) return usage(argv[0]);
+  if (allocation &&
+      !(std::isfinite(*allocation) && *allocation >= 0.0 &&
+        *allocation <= 1.0)) {
+    std::fprintf(stderr,
+                 "%s: --allocation: must be a finite treatment fraction in "
+                 "[0, 1], got '%s'\n",
+                 argv[0], allocation_token);
+    return 2;
+  }
+  // --duration-scale is the only SourceOptions field set from a flag.
+  try {
+    xp::lab::validate(options);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: --duration-scale: %s, got '%s'\n", argv[0],
+                 e.what(), duration_scale_token);
+    return 2;
+  }
 
   try {
-    xp::lab::SourceOptions options;
-    options.duration_scale = duration_scale;
     const auto source = xp::lab::make_scenario(scenario, options);
-    if (allocation < 0.0) allocation = source->default_allocation();
+    const double p = allocation.value_or(source->default_allocation());
 
-    const auto table = source->run(allocation, seed);
+    const auto table = source->run(p, seed);
 
     xp::trace::TraceMeta meta;
     meta.source = scenario;
-    meta.allocation = allocation;
-    meta.intended_treated_fraction =
-        source->intended_treated_fraction(allocation);
+    meta.allocation = p;
+    meta.intended_treated_fraction = source->intended_treated_fraction(p);
     meta.seed = seed;
     const auto log = xp::trace::make_log(table, std::move(meta));
     xp::trace::write_trace_file(out_path, log);
 
     std::printf("%s: wrote %zu sessions of %s (allocation %g, seed %llu)\n",
                 out_path.c_str(), log.records.size(), scenario.c_str(),
-                allocation, static_cast<unsigned long long>(seed));
+                p, static_cast<unsigned long long>(seed));
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
