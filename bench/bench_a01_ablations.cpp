@@ -22,7 +22,7 @@ std::vector<xp::core::Observation> tte_rows(
     const std::vector<xp::video::SessionRecord>& sessions,
     xp::core::Metric metric) {
   return xp::core::tte_contrast(
-      xp::core::select(sessions, metric, xp::core::RowFilter{}));
+      xp::core::select(sessions, metric));
 }
 
 }  // namespace
@@ -45,16 +45,16 @@ int main() {
   xp::bench::header(
       "Ablation 2 — switchback interval length (min RTT TTE; alternating "
       "intervals over 5 days)");
-  const auto min_rtt = xp::core::select(run.sessions, xp::core::Metric::kMinRtt,
-                                        xp::core::RowFilter{});
+  const auto min_rtt =
+      xp::core::select(run.sessions, xp::core::Metric::kMinRtt);
   std::printf("%14s | %10s %22s\n", "interval", "estimate", "95% CI width");
   for (int days_per_interval : {1, 2}) {
-    xp::core::SwitchbackOptions options;
-    options.day_treated.resize(5);
+    std::vector<bool> day_treated(5);
     for (int d = 0; d < 5; ++d) {
-      options.day_treated[d] = (d / days_per_interval) % 2 == 0;
+      day_treated[d] = (d / days_per_interval) % 2 == 0;
     }
-    const auto estimate = xp::core::switchback_tte(min_rtt, options);
+    const auto estimate = xp::core::hourly_fe_analysis(
+        xp::core::switchback_observations(min_rtt, day_treated));
     std::printf("%11d d  | %+9.4f %22.4f\n", days_per_interval,
                 estimate.estimate, estimate.ci_high - estimate.ci_low);
   }

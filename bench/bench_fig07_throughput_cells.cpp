@@ -11,8 +11,8 @@
 int main() {
   xp::bench::header("Figure 7 — throughput cell means and estimands");
   const auto run = xp::bench::main_experiment();
-  auto report = xp::core::analyze_paired_link(xp::core::select(
-      run.sessions, xp::core::Metric::kThroughput, xp::core::RowFilter{}));
+  auto report = xp::core::analyze_paired_link(
+      xp::core::select(run.sessions, xp::core::Metric::kThroughput));
   report.metric = xp::core::Metric::kThroughput;
   xp::core::print_cell_table(std::cout, report, "Mb/s", 1e-6);
   std::printf("\nestimands (relative to the link-2 control cell):\n");

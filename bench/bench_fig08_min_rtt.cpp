@@ -13,8 +13,8 @@
 int main() {
   xp::bench::header("Figure 8 — min RTT cell means (normalized)");
   const auto run = xp::bench::main_experiment();
-  const auto report = xp::core::analyze_paired_link(xp::core::select(
-      run.sessions, xp::core::Metric::kMinRtt, xp::core::RowFilter{}));
+  const auto report = xp::core::analyze_paired_link(
+      xp::core::select(run.sessions, xp::core::Metric::kMinRtt));
 
   double smallest = 1e18;
   for (int link = 0; link < 2; ++link) {

@@ -3,6 +3,7 @@
 // Replicate weeks and the event-study TTE both come from one experiment
 // spec; the printed series is the across-week mean with a min/max band.
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <vector>
 
@@ -20,15 +21,14 @@ int main() {
 
   // The same switch day the event_study/tte estimator derives for a
   // 5-day horizon ("between Thursday and Friday").
-  xp::core::EventStudyOptions options;
-  options.switch_day = 3;
+  constexpr std::uint32_t kSwitchDay = 3;
 
   // Hourly means over the 5 days, banded across the replicate weeks.
   constexpr std::size_t kHours = 5 * 24;
   std::vector<std::vector<xp::core::Observation>> weekly(kWeeks);
   for (std::size_t w = 0; w < kWeeks; ++w) {
     weekly[w] = xp::core::event_study_observations(
-        report.cell(0, w).table.column("avg throughput"), options);
+        report.cell(0, w).table.column("avg throughput"), kSwitchDay);
   }
   const auto band = xp::bench::hourly_band(weekly, kHours);
   const double top =
@@ -40,7 +40,7 @@ int main() {
     if (band.weeks_with_data[h] == 0) continue;
     std::printf("%5zu %5zu %6.3f [%6.3f, %6.3f] | %-10s\n", h / 24, h % 24,
                 band.mean[h] / top, band.min[h] / top, band.max[h] / top,
-                h / 24 >= options.switch_day ? "treated" : "control");
+                h / 24 >= kSwitchDay ? "treated" : "control");
   }
 
   const auto& tte = report.estimates_for("event_study/tte")

@@ -22,14 +22,13 @@ int main() {
 
   // The same alternating-day assignment the switchback/tte estimator
   // derives for a 5-day horizon.
-  xp::core::SwitchbackOptions options;
-  options.day_treated = {true, false, true, false, true};
+  const std::vector<bool> day_treated = {true, false, true, false, true};
 
   constexpr std::size_t kHours = 5 * 24;
   std::vector<std::vector<xp::core::Observation>> weekly(kWeeks);
   for (std::size_t w = 0; w < kWeeks; ++w) {
     weekly[w] = xp::core::switchback_observations(
-        report.cell(0, w).table.column("avg throughput"), options);
+        report.cell(0, w).table.column("avg throughput"), day_treated);
   }
   const auto band = xp::bench::hourly_band(weekly, kHours);
   const double top =
@@ -41,7 +40,7 @@ int main() {
     if (band.weeks_with_data[h] == 0) continue;
     std::printf("%5zu %5zu %6.3f [%6.3f, %6.3f] | %-10s\n", h / 24, h % 24,
                 band.mean[h] / top, band.min[h] / top, band.max[h] / top,
-                options.day_treated[h / 24] ? "treated" : "control");
+                day_treated[h / 24] ? "treated" : "control");
   }
 
   const auto& tte = report.estimates_for("switchback/tte")

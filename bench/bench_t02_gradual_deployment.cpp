@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "core/analysis.h"
@@ -105,24 +106,23 @@ int main() {
     // A/A: no real treatment anywhere. Link 0's control traffic plays the
     // treated source, link 1's the control source.
     const auto rows = xp::core::cross_cell_contrast(
-        xp::core::select(baseline.sessions, metric, xp::core::RowFilter{}),
+        xp::core::select(baseline.sessions, metric),
         link0_control, link1_control);
     // Every day assignment with at least one day per arm.
     Calibration switchback;
     for (std::uint32_t mask = 1; mask + 1 < (1u << kDays); ++mask) {
-      xp::core::SwitchbackOptions options;
-      options.day_treated.resize(kDays);
+      std::vector<bool> day_treated(kDays);
       for (std::uint32_t d = 0; d < kDays; ++d) {
-        options.day_treated[d] = (mask >> d) & 1u;
+        day_treated[d] = (mask >> d) & 1u;
       }
-      switchback.add(xp::core::switchback_tte(rows, options));
+      switchback.add(xp::core::hourly_fe_analysis(
+          xp::core::switchback_observations(rows, day_treated)));
     }
     // Every switch day.
     Calibration event_study;
     for (std::uint32_t day = 1; day < kDays; ++day) {
-      xp::core::EventStudyOptions options;
-      options.switch_day = day;
-      event_study.add(xp::core::event_study_tte(rows, options));
+      event_study.add(xp::core::hourly_fe_analysis(
+          xp::core::event_study_observations(rows, day)));
     }
     std::printf("%-22s | %10zu / %-12zu %10zu / %-12zu\n",
                 std::string(metric_name(metric)).c_str(),

@@ -15,9 +15,9 @@
 // histogram bin (outcome = bin mean, weight = bin count). Because each
 // cell's total sum and count survive binning exactly, weighted hourly
 // cell means — the input to every hourly-FE estimator — match the
-// record-materializing path up to FP rounding. Quantile-ladder and
-// account-level reads see bin-resolution approximations (documented in
-// README).
+// record-materializing path up to FP rounding. Unit-level reads
+// (account-level, Welch, quantile ladder) are wrong on these tables
+// today: they treat each bin row as one unit (ROADMAP open item 1).
 //
 // merge() is element-wise, so shard sketches combine in any grouping;
 // callers fix the fold order (shard index) to make the floating-point

@@ -1,28 +1,24 @@
 #include "core/designs/event_study.h"
 
+#include "core/designs/paired_link.h"
+
 namespace xp::core {
 
 std::vector<Observation> event_study_observations(
-    std::span<const Observation> rows, const EventStudyOptions& options) {
+    std::span<const Observation> rows, std::uint32_t switch_day) {
   std::vector<Observation> out;
   for (const Observation& row : rows) {
-    const bool post = row.day >= options.switch_day;
+    const bool post = row.day >= switch_day;
     if (post) {
-      if (row.group != options.treated_source_link || !row.treated) continue;
+      if (row.group != kMostlyTreatedLink || !row.treated) continue;
     } else {
-      if (row.group != options.control_source_link || row.treated) continue;
+      if (row.group != kMostlyControlLink || row.treated) continue;
     }
     Observation obs = row;
     obs.treated = post;
     out.push_back(obs);
   }
   return out;
-}
-
-EffectEstimate event_study_tte(std::span<const Observation> rows,
-                               const EventStudyOptions& options) {
-  const auto obs = event_study_observations(rows, options);
-  return hourly_fe_analysis(obs, options.analysis);
 }
 
 }  // namespace xp::core

@@ -9,29 +9,21 @@
 // calibration, while switchbacks did not.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
-#include "core/analysis.h"
+#include "core/observation.h"
 
 namespace xp::core {
 
-struct EventStudyOptions {
-  /// First treated day (switch happens at its midnight boundary).
-  std::uint32_t switch_day = 3;
-  std::uint8_t treated_source_link = 0;
-  std::uint8_t control_source_link = 1;
-  AnalysisOptions analysis;
-};
-
 /// Build the emulated event-study dataset from a metric column of
-/// observations (rows keep their own arm labels; group is the link).
-/// ObservationTable columns feed this directly.
+/// observations (rows keep their own arm labels; group is the link):
+/// control rows of the mostly-control link before `switch_day` (the first
+/// treated day; the switch happens at its midnight boundary), treated rows
+/// of the mostly-treated link from it on. The TTE is hourly_fe_analysis()
+/// of the result.
 std::vector<Observation> event_study_observations(
-    std::span<const Observation> rows, const EventStudyOptions& options);
-
-/// TTE estimate from the event study.
-EffectEstimate event_study_tte(std::span<const Observation> rows,
-                               const EventStudyOptions& options);
+    std::span<const Observation> rows, std::uint32_t switch_day);
 
 }  // namespace xp::core

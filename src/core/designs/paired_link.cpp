@@ -4,12 +4,8 @@
 
 namespace xp::core {
 
-PairedLinkReport analyze_paired_link(std::span<const Observation> rows,
-                                     const PairedLinkOptions& options) {
+PairedLinkReport analyze_paired_link(std::span<const Observation> rows) {
   PairedLinkReport report;
-
-  const int hi = options.mostly_treated_link;
-  const int lo = options.mostly_control_link;
 
   // Cell means for the four (link, arm) cells.
   for (int link = 0; link < 2; ++link) {
@@ -30,33 +26,33 @@ PairedLinkReport analyze_paired_link(std::span<const Observation> rows,
     }
   }
   // Global control condition: the control cell of the mostly-control link.
-  report.baseline = report.cell_mean[lo][0];
+  report.baseline = report.cell_mean[kMostlyControlLink][0];
 
-  AnalysisOptions analysis = options.analysis;
+  AnalysisOptions analysis;
   analysis.baseline_override = report.baseline;
 
   // Naive A/B tests within each link (account-level, as practitioners do).
   {
     RowFilter filter;
-    filter.link = hi;
+    filter.link = kMostlyTreatedLink;
     report.naive_high = account_level_analysis(select(rows, filter), analysis);
   }
   {
     RowFilter filter;
-    filter.link = lo;
+    filter.link = kMostlyControlLink;
     report.naive_low = account_level_analysis(select(rows, filter), analysis);
   }
 
   // Approximate TTE: treated on the 95% link vs control on the 5% link.
-  report.tte = hourly_fe_analysis(tte_contrast(rows, options), analysis);
+  report.tte = hourly_fe_analysis(tte_contrast(rows), analysis);
 
   // Spillover: control on the 95% link vs control on the 5% link.
   {
     RowFilter exposed_filter;
-    exposed_filter.link = hi;
+    exposed_filter.link = kMostlyTreatedLink;
     exposed_filter.treated = 0;
     RowFilter control_filter;
-    control_filter.link = lo;
+    control_filter.link = kMostlyControlLink;
     control_filter.treated = 0;
     report.spillover = hourly_fe_analysis(
         cross_cell_contrast(rows, exposed_filter, control_filter), analysis);
@@ -65,13 +61,12 @@ PairedLinkReport analyze_paired_link(std::span<const Observation> rows,
   return report;
 }
 
-std::vector<Observation> tte_contrast(std::span<const Observation> rows,
-                                      const PairedLinkOptions& options) {
+std::vector<Observation> tte_contrast(std::span<const Observation> rows) {
   RowFilter treated_filter;
-  treated_filter.link = options.mostly_treated_link;
+  treated_filter.link = kMostlyTreatedLink;
   treated_filter.treated = 1;
   RowFilter control_filter;
-  control_filter.link = options.mostly_control_link;
+  control_filter.link = kMostlyControlLink;
   control_filter.treated = 0;
   return cross_cell_contrast(rows, treated_filter, control_filter);
 }

@@ -13,6 +13,7 @@
 // on link 1 — the same global control condition for every row.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -21,11 +22,12 @@
 
 namespace xp::core {
 
-struct PairedLinkOptions {
-  std::uint8_t mostly_treated_link = 0;
-  std::uint8_t mostly_control_link = 1;
-  AnalysisOptions analysis;
-};
+/// The paired design's two links (Observation::group): link 0 runs the
+/// mostly-treated A/B test, link 1 the mostly-control one. The switchback
+/// and event-study emulations draw treated rows from the first and control
+/// rows from the second.
+inline constexpr std::uint8_t kMostlyTreatedLink = 0;
+inline constexpr std::uint8_t kMostlyControlLink = 1;
 
 struct PairedLinkReport {
   Metric metric = Metric::kThroughput;
@@ -43,14 +45,12 @@ struct PairedLinkReport {
 /// own arm labels; group is the link) — an ObservationTable column, or
 /// core::select() over telemetry records. The report's `metric` field is
 /// left at its default; callers that know the metric set it.
-PairedLinkReport analyze_paired_link(std::span<const Observation> rows,
-                                     const PairedLinkOptions& options = {});
+PairedLinkReport analyze_paired_link(std::span<const Observation> rows);
 
 /// The TTE contrast rows: treated on the mostly-treated link labeled A=1,
 /// control on the mostly-control link labeled A=0 (Figures 9/13 and the
 /// quantile ladders all use this cell pairing).
-std::vector<Observation> tte_contrast(std::span<const Observation> rows,
-                                      const PairedLinkOptions& options = {});
+std::vector<Observation> tte_contrast(std::span<const Observation> rows);
 
 /// The general cross-cell pairing every paired analysis reduces to: rows
 /// matching `exposed` relabeled A=1 against rows matching `control`

@@ -11,29 +11,18 @@
 #include <span>
 #include <vector>
 
-#include "core/analysis.h"
+#include "core/observation.h"
 
 namespace xp::core {
 
-struct SwitchbackOptions {
-  /// Per-day arm: day_treated[d] selects treated rows on the treated
-  /// source for day d, control rows on the control source otherwise.
-  std::vector<bool> day_treated;
-  /// Where treated/control rows come from in the emulation (Section 5.3
-  /// uses the 95% link for treated days, the 5% link for control days).
-  std::uint8_t treated_source_link = 0;
-  std::uint8_t control_source_link = 1;
-  AnalysisOptions analysis;
-};
-
 /// Build the emulated switchback dataset from a metric column of
 /// observations (rows keep their own arm labels; group is the link).
-/// ObservationTable columns feed this directly.
+/// day_treated[d] keeps the treated rows of the mostly-treated link on
+/// day d, the control rows of the mostly-control link otherwise (Section
+/// 5.3); days past the assignment are dropped. Throws
+/// std::invalid_argument on an empty assignment. The TTE is
+/// hourly_fe_analysis() of the result.
 std::vector<Observation> switchback_observations(
-    std::span<const Observation> rows, const SwitchbackOptions& options);
-
-/// TTE estimate from a switchback design.
-EffectEstimate switchback_tte(std::span<const Observation> rows,
-                              const SwitchbackOptions& options);
+    std::span<const Observation> rows, const std::vector<bool>& day_treated);
 
 }  // namespace xp::core

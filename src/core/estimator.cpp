@@ -98,12 +98,13 @@ bool two_groups(Rows rows) {
 }
 
 /// The global control condition of the paired design: mean outcome of the
-/// control cell on the mostly-control link (group 1).
+/// control cell on the mostly-control link.
 double paired_baseline(Rows rows) {
   double sum = 0.0;
   double weight = 0.0;
   for (const Observation& row : rows) {
-    if (row.group == 1 && !row.treated && std::isfinite(row.outcome)) {
+    if (row.group == kMostlyControlLink && !row.treated &&
+        std::isfinite(row.outcome)) {
       sum += row.weight * row.outcome;
       weight += row.weight;
     }
@@ -332,10 +333,10 @@ class PairedLinkSpilloverEstimator final : public BuiltinEstimator {
           Estimand::kSpillover, [&](std::size_t r) {
             const Rows rows = metric_column(report, a, r, metric);
             RowFilter exposed;
-            exposed.link = 0;
+            exposed.link = kMostlyTreatedLink;
             exposed.treated = 0;
             RowFilter control;
-            control.link = 1;
+            control.link = kMostlyControlLink;
             control.treated = 0;
             const auto obs = cross_cell_contrast(rows, exposed, control);
             AnalysisOptions analysis = options.analysis;
@@ -369,17 +370,16 @@ class SwitchbackTteEstimator final : public BuiltinEstimator {
             const Rows rows = metric_column(report, a, r, metric);
             const std::uint32_t days = day_count(rows);
             if (days < 2) return EffectEstimate{};
-            SwitchbackOptions sb;
-            sb.analysis = options.analysis;
-            sb.analysis.baseline_override = paired_baseline(rows);
-            sb.day_treated.resize(days);
+            AnalysisOptions analysis = options.analysis;
+            analysis.baseline_override = paired_baseline(rows);
+            std::vector<bool> day_treated(days);
             for (std::uint32_t d = 0; d < days; ++d) {
-              sb.day_treated[d] = d % 2 == 0;
+              day_treated[d] = d % 2 == 0;
             }
-            const auto obs = switchback_observations(rows, sb);
+            const auto obs = switchback_observations(rows, day_treated);
             return guarded(
                 [&] { return hourly_ok(obs); },
-                [&] { return hourly_fe_analysis(obs, sb.analysis); });
+                [&] { return hourly_fe_analysis(obs, analysis); });
           }));
     }
     return out;
@@ -407,14 +407,13 @@ class EventStudyTteEstimator final : public BuiltinEstimator {
             const Rows rows = metric_column(report, a, r, metric);
             const std::uint32_t days = day_count(rows);
             if (days < 2) return EffectEstimate{};
-            EventStudyOptions es;
-            es.analysis = options.analysis;
-            es.analysis.baseline_override = paired_baseline(rows);
-            es.switch_day = (days + 1) / 2;  // "between Thursday and Friday"
-            const auto obs = event_study_observations(rows, es);
+            AnalysisOptions analysis = options.analysis;
+            analysis.baseline_override = paired_baseline(rows);
+            // "Between Thursday and Friday": the mid-horizon day.
+            const auto obs = event_study_observations(rows, (days + 1) / 2);
             return guarded(
                 [&] { return hourly_ok(obs); },
-                [&] { return hourly_fe_analysis(obs, es.analysis); });
+                [&] { return hourly_fe_analysis(obs, analysis); });
           }));
     }
     return out;

@@ -1,5 +1,8 @@
 #include "core/session_metrics.h"
 
+#include <iterator>
+#include <string>
+
 namespace xp::core {
 
 std::string_view metric_name(Metric metric) noexcept {
@@ -62,56 +65,18 @@ double metric_value(const video::SessionRecord& row, Metric metric) noexcept {
   return 0.0;
 }
 
-bool matches(const video::SessionRecord& row,
-             const RowFilter& filter) noexcept {
-  if (filter.link >= 0 && row.link != filter.link) return false;
-  if (filter.treated >= 0 && static_cast<int>(row.treated) != filter.treated) {
-    return false;
-  }
-  if (filter.day_min >= 0 &&
-      row.day < static_cast<std::uint32_t>(filter.day_min)) {
-    return false;
-  }
-  if (filter.day_max >= 0 &&
-      row.day > static_cast<std::uint32_t>(filter.day_max)) {
-    return false;
-  }
-  return true;
-}
-
 bool matches(const Observation& row, const RowFilter& filter) noexcept {
   if (filter.link >= 0 && row.group != filter.link) return false;
-  if (filter.treated >= 0 && static_cast<int>(row.treated) != filter.treated) {
-    return false;
-  }
-  if (filter.day_min >= 0 &&
-      row.day < static_cast<std::uint32_t>(filter.day_min)) {
-    return false;
-  }
-  if (filter.day_max >= 0 &&
-      row.day > static_cast<std::uint32_t>(filter.day_max)) {
-    return false;
-  }
-  return true;
+  return filter.treated < 0 || static_cast<int>(row.treated) == filter.treated;
 }
-
-namespace {
-
-/// An all-pass filter keeps every row, so the output can reserve exactly
-/// rows.size() instead of guessing half (the paired-link table conversion
-/// extracts every metric column over all sessions this way).
-bool matches_everything(const RowFilter& filter) noexcept {
-  return filter.link < 0 && filter.treated < 0 && filter.day_min < 0 &&
-         filter.day_max < 0;
-}
-
-}  // namespace
 
 std::vector<Observation> select(std::span<const Observation> rows,
                                 const RowFilter& filter,
                                 int relabel_treated) {
   std::vector<Observation> out;
-  out.reserve(matches_everything(filter) ? rows.size() : rows.size() / 2);
+  // An all-pass filter keeps every row; otherwise guess half.
+  const bool everything = filter.link < 0 && filter.treated < 0;
+  out.reserve(everything ? rows.size() : rows.size() / 2);
   for (const Observation& row : rows) {
     if (!matches(row, filter)) continue;
     Observation obs = row;
@@ -122,17 +87,14 @@ std::vector<Observation> select(std::span<const Observation> rows,
 }
 
 std::vector<Observation> select(std::span<const video::SessionRecord> rows,
-                                Metric metric, const RowFilter& filter,
-                                int relabel_treated) {
+                                Metric metric) {
   std::vector<Observation> out;
-  out.reserve(matches_everything(filter) ? rows.size() : rows.size() / 2);
+  out.reserve(rows.size());
   for (const video::SessionRecord& row : rows) {
-    if (!matches(row, filter)) continue;
     Observation obs;
     obs.unit = row.session_id;
     obs.account = row.account_id;
-    obs.treated =
-        relabel_treated < 0 ? row.treated : relabel_treated != 0;
+    obs.treated = row.treated;
     obs.outcome = metric_value(row, metric);
     obs.hour_of_day = row.hour;
     obs.hour_index = static_cast<std::uint64_t>(row.day) * 24 + row.hour;
@@ -141,6 +103,16 @@ std::vector<Observation> select(std::span<const video::SessionRecord> rows,
     out.push_back(obs);
   }
   return out;
+}
+
+ObservationTable metric_table(std::span<const video::SessionRecord> rows) {
+  ObservationTable table;
+  table.metrics.reserve(std::size(kAllMetrics));
+  table.columns.reserve(std::size(kAllMetrics));
+  for (Metric metric : kAllMetrics) {
+    table.add_column(std::string(metric_name(metric)), select(rows, metric));
+  }
+  return table;
 }
 
 }  // namespace xp::core

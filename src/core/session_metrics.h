@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/observation.h"
+#include "core/observation_table.h"
 #include "video/session_record.h"
 
 namespace xp::core {
@@ -41,31 +42,29 @@ std::string_view metric_name(Metric metric) noexcept;
 /// Extract the metric value from one telemetry row.
 double metric_value(const video::SessionRecord& row, Metric metric) noexcept;
 
-/// Row filter: -1 matches anything.
+/// Row filter over extracted observations: -1 matches anything.
 struct RowFilter {
-  int link = -1;     ///< 0/1 or -1
+  int link = -1;     ///< 0/1 or -1 (matched against Observation::group)
   int treated = -1;  ///< 0/1 or -1
-  int day_min = -1;
-  int day_max = -1;  ///< inclusive
 };
 
-bool matches(const video::SessionRecord& row, const RowFilter& filter) noexcept;
-
-/// Same filter over already-extracted observations (group plays the role
-/// of the link).
 bool matches(const Observation& row, const RowFilter& filter) noexcept;
 
-/// Convert matching telemetry rows to observations of `metric`.
+/// Convert every telemetry row to an observation of `metric`, keeping the
+/// row's own arm label and link (as the observation's group).
+std::vector<Observation> select(std::span<const video::SessionRecord> rows,
+                                Metric metric);
+
+/// The per-session table: one column per kAllMetrics entry, in that
+/// order, each holding one row per record. Every backend that has
+/// per-session records builds its table here.
+ObservationTable metric_table(std::span<const video::SessionRecord> rows);
+
+/// Filter a metric column (e.g. one ObservationTable column).
 /// `relabel_treated`: -1 keeps the row's own assignment; 0/1 forces the
 /// observation's arm label (used when comparing cells across links, e.g.
 /// the TTE contrast labels link-1 treated rows A=1 and link-2 control
-/// rows A=0).
-std::vector<Observation> select(std::span<const video::SessionRecord> rows,
-                                Metric metric, const RowFilter& filter,
-                                int relabel_treated = -1);
-
-/// Filter a metric column (e.g. one ObservationTable column) the same way.
-/// Designs run off these rows directly — no telemetry records needed.
+/// rows A=0). Designs run off these rows directly.
 std::vector<Observation> select(std::span<const Observation> rows,
                                 const RowFilter& filter,
                                 int relabel_treated = -1);

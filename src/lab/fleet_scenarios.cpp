@@ -41,10 +41,7 @@ class FleetSource final : public DataSource {
 
   ObservationTable run(double allocation,
                        std::uint64_t seed) const override {
-    video::FleetConfig fleet = fleet_;
-    fleet.seed = seed;
-    fleet.base.treat_probability[0] = allocation;
-    fleet.base.treat_probability[1] = 1.0 - allocation;
+    const video::FleetConfig fleet = configured(allocation, seed);
     // Budget currency = ticks summed across shards, checked up front
     // (serially, so the throw is deterministic and no shard starts when
     // the fleet as a whole cannot finish). Per-shard budgets would hand
@@ -64,11 +61,9 @@ class FleetSource final : public DataSource {
   }
 
   double intended_treated_fraction(double allocation) const noexcept override {
-    // Same per-link Bernoulli mixing as PairedLinkSource; every shard
-    // shares link0_probability and the treat probabilities, so the
-    // fleet-wide marginal equals the per-shard one.
-    const double p0 = fleet_.base.link0_probability;
-    return p0 * allocation + (1.0 - p0) * (1.0 - allocation);
+    // Every shard shares link0_probability and the treat probabilities,
+    // so the fleet-wide marginal equals the base cluster's.
+    return video::intended_treated_fraction(configured(allocation, 0).base);
   }
 
   // FNV-1a over the fields that change a fleet's output, so the journal
@@ -94,6 +89,16 @@ class FleetSource final : public DataSource {
   }
 
  private:
+  /// The fleet run(allocation, seed) simulates: allocation p treats p on
+  /// the mostly-treated link and 1 - p on the other, in every shard.
+  video::FleetConfig configured(double allocation, std::uint64_t seed) const {
+    video::FleetConfig fleet = fleet_;
+    fleet.seed = seed;
+    fleet.base.treat_probability[0] = allocation;
+    fleet.base.treat_probability[1] = 1.0 - allocation;
+    return fleet;
+  }
+
   std::string name_;
   video::FleetConfig fleet_;
   util::RunBudget budget_;

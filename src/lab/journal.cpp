@@ -300,9 +300,6 @@ std::uint64_t journal_fingerprint(const ExperimentSpec& spec) {
   fp.add<double>(spec.tuning.duration_scale);
   fp.add_string(spec.tuning.trace_path);
   fp.add<std::uint64_t>(spec.tuning.budget.max_work_units);
-  // Streamed and record-path tables are different shapes of the same
-  // world; they must never replay into each other.
-  fp.add<std::uint8_t>(spec.tuning.streaming ? 1 : 0);
   // Quality gate: its thresholds decide kOk vs kQualityHold.
   fp.add<double>(spec.quality.srm_p_threshold);
   fp.add<std::uint64_t>(spec.quality.min_rows);

@@ -47,9 +47,10 @@ namespace xp::lab {
 
 struct ExperimentSpec;  // lab/experiment.h
 
-/// Journal schema version: bump on any change to the record layout or
-/// the content-key recipe; old journals then never match and are simply
-/// recomputed over.
+/// Journal record-layout version. Opening a journal written under another
+/// version is refused, so bump it only when the record layout changes. A
+/// change to the content-key recipe (journal_fingerprint) needs no bump:
+/// it changes every key, so old cells miss and are recomputed.
 inline constexpr std::uint32_t kJournalVersion = 2;
 
 /// FNV-1a offset basis: the hash of zero bytes.

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/cell_accumulator.h"
 #include "core/session_metrics.h"
 #include "lab/fleet_scenarios.h"
 #include "trace/codec.h"
@@ -84,11 +83,10 @@ class DumbbellSource final : public DataSource {
 class PairedLinkSource final : public DataSource {
  public:
   PairedLinkSource(std::string name, video::ClusterConfig config,
-                   bool allocation_sets_treatment, bool streaming = false)
+                   bool allocation_sets_treatment)
       : name_(std::move(name)),
         config_(config),
-        allocation_sets_treatment_(allocation_sets_treatment),
-        streaming_(streaming) {}
+        allocation_sets_treatment_(allocation_sets_treatment) {}
 
   std::string_view name() const noexcept override { return name_; }
   double default_allocation() const noexcept override {
@@ -97,37 +95,9 @@ class PairedLinkSource final : public DataSource {
 
   ObservationTable run(double allocation,
                        std::uint64_t seed) const override {
-    video::ClusterConfig config = config_;
-    config.seed = seed;
-    if (allocation_sets_treatment_) {
-      config.treat_probability[0] = allocation;
-      config.treat_probability[1] = 1.0 - allocation;
-    }
-    ObservationTable table;
-    video::ClusterResult result;
-    if (streaming_) {
-      // Streaming mode: fold each retiring session into hourly-cell
-      // sketches; no per-session record vector is ever materialized.
-      core::CellAccumulator sketch(
-          static_cast<std::size_t>(config.days * 24.0) + 1);
-      result = video::run_paired_links(
-          config,
-          [&sketch](const video::SessionRecord& r) { sketch.add(r); });
-      table = sketch.to_table();
-    } else {
-      result = video::run_paired_links(config);
-      // One column per metric, each with exactly one row per session:
-      // size the table up front (select() itself reserves
-      // sessions.size() for the all-pass filter) instead of growing
-      // incrementally.
-      table.metrics.reserve(std::size(core::kAllMetrics));
-      table.columns.reserve(std::size(core::kAllMetrics));
-      const core::RowFilter all;
-      for (core::Metric metric : core::kAllMetrics) {
-        table.add_column(std::string(core::metric_name(metric)),
-                         core::select(result.sessions, metric, all));
-      }
-    }
+    const video::ClusterConfig config = configured(allocation, seed);
+    const video::ClusterResult result = video::run_paired_links(config);
+    ObservationTable table = core::metric_table(result.sessions);
     table.add_aggregate("sessions_started",
                         static_cast<double>(result.stats.sessions_started));
     table.add_aggregate(
@@ -154,22 +124,26 @@ class PairedLinkSource final : public DataSource {
   }
 
   double intended_treated_fraction(double allocation) const noexcept override {
-    // Sessions route to link 0 w.p. link0_probability and are treated
-    // w.p. treat_probability[link]; the marginal treated fraction mixes
-    // the two per-link Bernoullis.
-    const double p0 = config_.link0_probability;
-    if (allocation_sets_treatment_) {
-      return p0 * allocation + (1.0 - p0) * (1.0 - allocation);
-    }
-    return p0 * config_.treat_probability[0] +
-           (1.0 - p0) * config_.treat_probability[1];
+    return video::intended_treated_fraction(configured(allocation, 0));
   }
 
  private:
+  /// The world run(allocation, seed) simulates: allocation p treats p on
+  /// the mostly-treated link and 1 - p on the other.
+  video::ClusterConfig configured(double allocation,
+                                  std::uint64_t seed) const {
+    video::ClusterConfig config = config_;
+    config.seed = seed;
+    if (allocation_sets_treatment_) {
+      config.treat_probability[0] = allocation;
+      config.treat_probability[1] = 1.0 - allocation;
+    }
+    return config;
+  }
+
   std::string name_;
   video::ClusterConfig config_;
   bool allocation_sets_treatment_;
-  bool streaming_;
 };
 
 // ------------------------------------------------------------- registry ----
@@ -210,12 +184,12 @@ void install_builtins(std::map<std::string, SourceFactory>& reg) {
     return std::make_unique<PairedLinkSource>(
         "paired_links/experiment",
         tuned(canonical_experiment_config(), opt),
-        /*allocation_sets_treatment=*/true, opt.streaming);
+        /*allocation_sets_treatment=*/true);
   });
   reg.emplace("paired_links/baseline", [](const SourceOptions& opt) {
     return std::make_unique<PairedLinkSource>(
         "paired_links/baseline", tuned(canonical_baseline_config(), opt),
-        /*allocation_sets_treatment=*/false, opt.streaming);
+        /*allocation_sets_treatment=*/false);
   });
 
   // Policy-backed experiment families: the canonical week with the arm
@@ -228,7 +202,7 @@ void install_builtins(std::map<std::string, SourceFactory>& reg) {
       config.control_policy = control;
       config.treatment_policy = treatment;
       return std::make_unique<PairedLinkSource>(
-          name, config, /*allocation_sets_treatment=*/true, opt.streaming);
+          name, config, /*allocation_sets_treatment=*/true);
     });
   };
   // Deeper capping than the 2020 program ran: does halving the ceiling
@@ -253,7 +227,7 @@ void install_builtins(std::map<std::string, SourceFactory>& reg) {
       config.faults = plan();
       return std::make_unique<PairedLinkSource>(
           name, tuned(config, opt),
-          /*allocation_sets_treatment=*/true, opt.streaming);
+          /*allocation_sets_treatment=*/true);
     });
   };
   // Link 0 goes dark mid-week for ~2.4 hours, then link 1 runs at 40%
@@ -325,9 +299,7 @@ void install_builtins(std::map<std::string, SourceFactory>& reg) {
     trace::TraceMeta meta;
     meta.source = "paired_links/experiment";
     meta.allocation = config.treat_probability[0];
-    const double p0 = config.link0_probability;
-    meta.intended_treated_fraction = p0 * config.treat_probability[0] +
-                                     (1.0 - p0) * config.treat_probability[1];
+    meta.intended_treated_fraction = video::intended_treated_fraction(config);
     meta.seed = config.seed;
     meta.horizon_s = config.days * 86400.0;
     trace::ReplayConfig replay;

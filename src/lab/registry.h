@@ -80,16 +80,6 @@ struct SourceOptions {
   /// default (0) is unlimited and leaves every run bit-identical to a
   /// budget-free build.
   util::RunBudget budget;
-  /// Stream sessions into hourly-cell sketches (core/cell_accumulator.h)
-  /// instead of materializing per-session record vectors. Peak memory
-  /// drops from O(sessions) to O(hours x metrics); hourly cell means are
-  /// preserved to FP rounding, while account-level and quantile reads see
-  /// bin-resolution approximations (see README "Fleet worlds"). Honored
-  /// by the paired_links/* scenarios; fleet/* always streams; dumbbell/*
-  /// and trace/* ignore it (their tables are already small). Changes the
-  /// journal fingerprint — streamed and record-path cells never replay
-  /// into each other.
-  bool streaming = false;
 };
 
 using SourceFactory =

@@ -24,7 +24,6 @@ std::uint64_t cell_key(const video::SessionRecord& row) noexcept {
 
 TraceSource::TraceSource(TraceLog log, ReplayConfig config)
     : name_(std::move(config.name)),
-      mode_(config.mode),
       max_rows_(config.max_rows),
       meta_(std::move(log.meta)) {
   // Horizon truncation (SourceOptions::duration_scale semantics): only
@@ -96,45 +95,31 @@ double TraceSource::intended_treated_fraction(
 
 core::ObservationTable TraceSource::run(double /*allocation*/,
                                         std::uint64_t seed) const {
-  // Pick the rows this replicate replays. Verbatim: the log itself.
-  // Bootstrap: per link, draw as many hourly cells (with replacement) as
-  // the log has, keeping each drawn cell's rows together — within-hour
-  // congestion coupling survives, the week's hour mix is re-drawn.
-  std::vector<video::SessionRecord> resampled;
-  const std::vector<video::SessionRecord>* rows = &sessions_;
-  if (mode_ == ReplayMode::kBlockBootstrap) {
-    stats::Rng rng(seed);
-    resampled.reserve(sessions_.size());
-    for (const auto& [link, begin, end] : link_spans_) {
-      const std::uint64_t count = end - begin;
-      for (std::uint64_t draw = 0; draw < count; ++draw) {
-        const Cell& cell = cells_[begin + rng.uniform_int(count)];
-        for (std::uint32_t r = cell.begin; r < cell.end; ++r) {
-          resampled.push_back(sessions_[cell_rows_[r]]);
-        }
-        // Budget check between drawn cells (hourly blocks stay whole):
-        // a replicate that crosses the row cap throws here instead of
-        // materializing the rest of the week.
-        if (max_rows_ != 0 && resampled.size() > max_rows_) {
-          util::throw_budget_exceeded("trace replay", "rows", max_rows_);
-        }
+  // Per link, draw as many hourly cells (with replacement) as the log
+  // has, keeping each drawn cell's rows together — within-hour congestion
+  // coupling survives, the week's hour mix is re-drawn.
+  stats::Rng rng(seed);
+  std::vector<video::SessionRecord> rows;
+  rows.reserve(sessions_.size());
+  for (const auto& [link, begin, end] : link_spans_) {
+    const std::uint64_t count = end - begin;
+    for (std::uint64_t draw = 0; draw < count; ++draw) {
+      const Cell& cell = cells_[begin + rng.uniform_int(count)];
+      for (std::uint32_t r = cell.begin; r < cell.end; ++r) {
+        rows.push_back(sessions_[cell_rows_[r]]);
+      }
+      // Budget check between drawn cells (hourly blocks stay whole): a
+      // replicate that crosses the row cap throws here instead of
+      // materializing the rest of the week.
+      if (max_rows_ != 0 && rows.size() > max_rows_) {
+        util::throw_budget_exceeded("trace replay", "rows", max_rows_);
       }
     }
-    rows = &resampled;
-  } else if (max_rows_ != 0 && sessions_.size() > max_rows_) {
-    util::throw_budget_exceeded("trace replay", "rows", max_rows_);
   }
 
-  core::ObservationTable table;
-  table.metrics.reserve(std::size(core::kAllMetrics));
-  table.columns.reserve(std::size(core::kAllMetrics));
-  const core::RowFilter all;
-  for (core::Metric metric : core::kAllMetrics) {
-    table.add_column(std::string(core::metric_name(metric)),
-                     core::select(*rows, metric, all));
-  }
+  core::ObservationTable table = core::metric_table(rows);
   table.add_aggregate("sessions_replayed",
-                      static_cast<double>(rows->size()));
+                      static_cast<double>(rows.size()));
   table.add_aggregate("trace_hour_cells", static_cast<double>(cells_.size()));
   return table;
 }

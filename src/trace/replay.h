@@ -12,9 +12,7 @@
 // grouped by (link, absolute hour), and each link's cell sequence is
 // resampled with replacement — preserving within-hour congestion coupling
 // (the paper's whole point: sessions sharing a link-hour are not
-// independent) while re-drawing the week's hour mix. kVerbatim replays
-// the log unchanged regardless of seed (useful for exact
-// export-vs-direct-run comparisons).
+// independent) while re-drawing the week's hour mix.
 //
 // Registry contract: stateless after construction, pure in
 // (allocation, seed). A recorded log cannot be re-randomized, so
@@ -37,14 +35,8 @@
 
 namespace xp::trace {
 
-enum class ReplayMode : std::uint8_t {
-  kVerbatim,        ///< replay the log as-is; ignores the seed
-  kBlockBootstrap,  ///< resample hourly cells per link (seed-pure)
-};
-
 struct ReplayConfig {
   std::string name = "trace/replay";  ///< registry key to report
-  ReplayMode mode = ReplayMode::kBlockBootstrap;
   /// Truncate the replayed horizon to this fraction of the recorded one
   /// (values >= 1 replay the full log; recorded data cannot be extended).
   double duration_scale = 1.0;
@@ -69,9 +61,9 @@ class TraceSource final : public core::DataSource {
   /// observed treated fraction when the header does not carry one).
   double default_allocation() const noexcept override;
 
-  /// Replays (mode kVerbatim) or block-bootstraps (mode kBlockBootstrap)
-  /// the log into the standard metric columns. `allocation` is ignored —
-  /// a recorded design cannot be re-randomized.
+  /// Block-bootstraps the log's hourly cells per link (seed-pure) into
+  /// the standard metric columns (core::metric_table). `allocation` is
+  /// ignored — a recorded design cannot be re-randomized.
   core::ObservationTable run(double allocation,
                              std::uint64_t seed) const override;
 
@@ -90,7 +82,6 @@ class TraceSource final : public core::DataSource {
   };
 
   std::string name_;
-  ReplayMode mode_;
   std::uint64_t max_rows_ = 0;  ///< ReplayConfig::max_rows (0 = unlimited)
   TraceMeta meta_;
   double observed_treated_fraction_ = 0.0;

@@ -5,8 +5,8 @@
 // through TraceSource (trace/replay.h).
 //
 // Fidelity: the SessionRecord path is lossless in every field the
-// estimator stack reads (a verbatim replay reproduces the direct run's
-// metric columns bit-for-bit). The ObservationTable path reconstructs
+// estimator stack reads (its records, tabled by core::metric_table,
+// reproduce the direct run's metric columns bit-for-bit). The ObservationTable path reconstructs
 // rows from the table's aligned metric columns: exposure, arm, and hour
 // coordinates are exact; arrival times are quantized to the hour bucket
 // and viewing duration is not recoverable (tables do not carry it), so

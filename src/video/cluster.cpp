@@ -56,6 +56,12 @@ void validate(const ClusterConfig& config) {
   validate(config.faults);
 }
 
+double intended_treated_fraction(const ClusterConfig& config) noexcept {
+  const double p0 = config.link0_probability;
+  return p0 * config.treat_probability[0] +
+         (1.0 - p0) * config.treat_probability[1];
+}
+
 ClusterResult run_paired_links(const ClusterConfig& config) {
   // The record path is a collecting sink over the one simulation core,
   // reserved from demand x horizon (plus Poisson slack); overflow beyond

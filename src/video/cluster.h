@@ -115,6 +115,12 @@ struct ClusterResult {
 /// run_paired_links itself.
 void validate(const ClusterConfig& config);
 
+/// The treated fraction the design intends (the SRM guardrail's null):
+/// sessions route to link 0 w.p. link0_probability and are treated w.p.
+/// treat_probability[link], so the marginal mixes the two per-link
+/// Bernoullis.
+double intended_treated_fraction(const ClusterConfig& config) noexcept;
+
 /// Run the paired-link world. Deterministic in (config): the result is a
 /// pure function of (config, seed) — bit-for-bit reproducible at any
 /// thread count, since a run is single-threaded and parallelism happens

@@ -28,7 +28,6 @@
 #include "core/session_metrics.h"
 #include "lab/experiment.h"
 #include "lab/fleet_scenarios.h"
-#include "lab/journal.h"
 #include "lab/registry.h"
 #include "util/runner.h"
 #include "video/cluster.h"
@@ -359,8 +358,8 @@ TEST(FleetStreaming, StreamedHourlyCellsMatchRecordPath) {
   // The estimator-facing view: weighted hourly cells of the sketch table
   // reproduce the record table's cell means and true session counts.
   const core::ObservationTable streamed_table = sketch.to_table();
-  const std::vector<core::Observation> record_column = core::select(
-      record.sessions, core::Metric::kThroughput, core::RowFilter{});
+  const std::vector<core::Observation> record_column =
+      core::select(record.sessions, core::Metric::kThroughput);
   const auto record_cells = core::aggregate_hourly(record_column);
   const auto streamed_cells = core::aggregate_hourly(
       streamed_table.column(core::metric_name(core::Metric::kThroughput)));
@@ -376,12 +375,15 @@ TEST(FleetStreaming, StreamedHourlyCellsMatchRecordPath) {
   }
 }
 
-TEST(FleetStreaming, StreamingKnobFlowsThroughRegistry) {
-  lab::SourceOptions options;
-  options.duration_scale = 0.05;
-  options.streaming = true;
-  const auto source = lab::make_scenario("paired_links/experiment", options);
-  const core::ObservationTable table = source->run(0.95, 7);
+TEST(FleetStreaming, RegistryFleetTableIsAWeightedSketch) {
+  lab::ExperimentSpec spec;
+  spec.scenario = "fleet/heterogeneous";
+  spec.tuning.duration_scale = 0.02;
+  spec.estimators = {"paired_link/tte"};
+  const lab::ExperimentReport report = lab::run_experiment(spec);
+  ASSERT_EQ(report.cells.size(), 1u);
+  ASSERT_TRUE(report.cells[0].status.ok()) << report.cells[0].status.error;
+  const core::ObservationTable& table = report.cells[0].table;
   // Sketch tables carry bin rows, not session rows: weights exceed 1 and
   // the row count is far below the session count.
   const auto& rows = table.column("avg throughput");
@@ -392,15 +394,11 @@ TEST(FleetStreaming, StreamingKnobFlowsThroughRegistry) {
   const double sessions = table.aggregate("sessions_started");
   EXPECT_GT(sessions, 0.0);
   EXPECT_LT(static_cast<double>(rows.size()), sessions);
-
-  // Streamed and record-path cells must never replay into each other.
-  lab::ExperimentSpec streamed_spec;
-  streamed_spec.scenario = "paired_links/experiment";
-  streamed_spec.tuning = options;
-  lab::ExperimentSpec record_spec = streamed_spec;
-  record_spec.tuning.streaming = false;
-  EXPECT_NE(lab::journal_fingerprint(streamed_spec),
-            lab::journal_fingerprint(record_spec));
+  // The estimators read the sketch table through the hourly pipeline.
+  const auto& tte =
+      report.estimates_for("paired_link/tte").row("avg throughput/tte");
+  ASSERT_EQ(tte.replicates.size(), 1u);
+  EXPECT_TRUE(std::isfinite(tte.replicates[0].estimate));
 }
 
 // ---- fleet config validation, phase rotation, budget ----

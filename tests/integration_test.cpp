@@ -34,7 +34,7 @@ const video::ClusterResult& experiment_run() {
 
 /// One metric column of the shared run, as the designs consume it.
 std::vector<core::Observation> column(core::Metric metric) {
-  return core::select(experiment_run().sessions, metric, core::RowFilter{});
+  return core::select(experiment_run().sessions, metric);
 }
 
 TEST(PairedLinkWorld, ProducesBalancedLinks) {
@@ -113,12 +113,11 @@ TEST(PairedLinkAnalysis, AllMetricsProduceFiniteEstimates) {
 }
 
 TEST(SelectAdapter, FiltersAndRelabels) {
-  const auto& run = experiment_run();
   core::RowFilter filter;
   filter.link = 0;
   filter.treated = 1;
-  const auto obs = core::select(run.sessions, core::Metric::kThroughput,
-                                filter, /*relabel=*/0);
+  const auto obs =
+      core::select(column(core::Metric::kThroughput), filter, /*relabel=*/0);
   ASSERT_FALSE(obs.empty());
   for (const auto& o : obs) EXPECT_FALSE(o.treated);
 }
@@ -126,25 +125,23 @@ TEST(SelectAdapter, FiltersAndRelabels) {
 TEST(Switchback, EstimatesTteCloseToPairedLink) {
   const auto min_rtt = column(core::Metric::kMinRtt);
   const auto paired = core::analyze_paired_link(min_rtt);
-  core::SwitchbackOptions options;
-  options.day_treated = {true, false};  // 2-day run
-  const auto tte = core::switchback_tte(min_rtt, options);
+  const auto tte = core::hourly_fe_analysis(
+      core::switchback_observations(min_rtt, {true, false}));  // 2-day run
   // Same sign; magnitudes comparable (wide tolerance: 1 day per arm).
   EXPECT_LT(tte.estimate, 0.0);
   EXPECT_NEAR(tte.relative(), paired.tte.relative(), 0.35);
 }
 
 TEST(Switchback, RequiresAssignment) {
-  core::SwitchbackOptions options;  // empty day_treated
-  EXPECT_THROW(core::switchback_tte(column(core::Metric::kMinRtt), options),
-               std::invalid_argument);
+  EXPECT_THROW(
+      core::switchback_observations(column(core::Metric::kMinRtt), {}),
+      std::invalid_argument);
 }
 
 TEST(EventStudy, EstimatesTteWithSign) {
-  core::EventStudyOptions options;
-  options.switch_day = 1;  // day 0 control, day 1 treated
-  const auto tte =
-      core::event_study_tte(column(core::Metric::kMinRtt), options);
+  // Switch day 1: day 0 control, day 1 treated.
+  const auto tte = core::hourly_fe_analysis(
+      core::event_study_observations(column(core::Metric::kMinRtt), 1));
   EXPECT_LT(tte.estimate, 0.0);
 }
 
@@ -167,8 +164,7 @@ TEST(AaCalibration, LinkSimilarityDetectsRebufferImbalance) {
   // Congestion metrics should NOT differ between identical links...
   for (core::Metric metric : {core::Metric::kMinRtt, core::Metric::kBitrate}) {
     const auto rows = core::cross_cell_contrast(
-        core::select(baseline.sessions, metric, core::RowFilter{}), link0,
-        link1);
+        core::select(baseline.sessions, metric), link0, link1);
     EXPECT_LT(std::fabs(core::hourly_fe_analysis(rows).relative()), 0.10)
         << metric_name(metric);
   }

@@ -308,12 +308,15 @@ TEST(TraceReplay, VerbatimReproducesExportedColumns) {
       lab::make_scenario("paired_links/experiment", smoke_options());
   const auto direct = source->run(0.95, 5);
 
-  trace::TraceMeta meta;
-  meta.allocation = 0.95;
-  trace::ReplayConfig config;
-  config.mode = trace::ReplayMode::kVerbatim;
-  const trace::TraceSource replay(trace::make_log(direct, meta), config);
-  const auto table = replay.run(0.95, 123);  // seed ignored in verbatim mode
+  // The export is lossless: its records, converted back and tabled by
+  // the same builder every record-path backend uses, are the direct
+  // columns bit for bit.
+  const trace::TraceLog log = trace::make_log(direct, {});
+  std::vector<video::SessionRecord> records;
+  for (const trace::TraceRecord& row : log.records) {
+    records.push_back(trace::to_session_record(row));
+  }
+  const auto table = core::metric_table(records);
 
   for (const std::string& metric : direct.metrics) {
     const auto& want = direct.column(metric);

@@ -48,8 +48,6 @@ int usage(const char* argv0) {
       "                                  rows; default unlimited)\n"
       "          [--on-failure <mode>]   fail_fast | skip | retry:<n>\n"
       "          [--trace-file <path>]   session log for trace/* scenarios\n"
-      "          [--streaming]           stream sessions into hourly-cell\n"
-      "                                  sketches (fleet-scale memory)\n"
       "       %s --list-scenarios       print scenario registry keys\n"
       "       %s --list-estimators      print estimator registry keys\n"
       "Exit codes: 0 all cells OK, 3 partial completion, 1 error, 2 usage.\n",
@@ -57,18 +55,25 @@ int usage(const char* argv0) {
   return 2;
 }
 
-/// "0.5,0.95" -> {0.5, 0.95}; empty tokens rejected by the caller's use.
-std::vector<std::string> split_csv(const std::string& csv) {
+/// "0.5,0.95" -> {"0.5", "0.95"}. An empty list or an empty entry
+/// ("0.2,,0.8", ",") is a usage error naming the flag and the whole
+/// value, never a silently shorter list. Exits 2 on one.
+std::vector<std::string> split_csv(const char* argv0, const char* flag,
+                                   const std::string& csv) {
   std::vector<std::string> out;
   std::size_t start = 0;
-  while (start <= csv.size()) {
+  while (true) {
     const std::size_t comma = csv.find(',', start);
     const std::size_t end = comma == std::string::npos ? csv.size() : comma;
-    if (end > start) out.push_back(csv.substr(start, end - start));
-    if (comma == std::string::npos) break;
+    if (end == start) {
+      std::fprintf(stderr, "%s: %s: empty entry in '%s'\n", argv0, flag,
+                   csv.c_str());
+      std::exit(2);
+    }
+    out.push_back(csv.substr(start, end - start));
+    if (comma == std::string::npos) return out;
     start = comma + 1;
   }
-  return out;
 }
 
 }  // namespace
@@ -102,7 +107,8 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--journal") == 0) {
       journal.directory = value();
     } else if (std::strcmp(argv[i], "--allocations") == 0) {
-      for (const std::string& token : split_csv(value())) {
+      for (const std::string& token :
+           split_csv(argv[0], "--allocations", value())) {
         spec.allocations.push_back(
             parse_number<double>(argv[0], "--allocations", token));
       }
@@ -110,7 +116,7 @@ int main(int argc, char** argv) {
       spec.replicates =
           parse_number<std::size_t>(argv[0], "--replicates", value());
     } else if (std::strcmp(argv[i], "--estimators") == 0) {
-      for (std::string& token : split_csv(value())) {
+      for (std::string& token : split_csv(argv[0], "--estimators", value())) {
         spec.estimators.push_back(std::move(token));
       }
     } else if (std::strcmp(argv[i], "--seed") == 0) {
@@ -123,8 +129,6 @@ int main(int argc, char** argv) {
           parse_number<std::uint64_t>(argv[0], "--budget", value());
     } else if (std::strcmp(argv[i], "--trace-file") == 0) {
       spec.tuning.trace_path = value();
-    } else if (std::strcmp(argv[i], "--streaming") == 0) {
-      spec.tuning.streaming = true;
     } else if (std::strcmp(argv[i], "--on-failure") == 0) {
       const std::string mode = value();
       if (mode == "fail_fast") {
