@@ -1,7 +1,8 @@
 #include "core/quantile_effects.h"
 
-#include <algorithm>
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "util/runner.h"
 #include "stats/bootstrap.h"
@@ -9,22 +10,19 @@
 
 namespace xp::core {
 
-EffectEstimate quantile_treatment_effect(
-    std::span<const double> treated, std::span<const double> control,
-    double q, const QuantileEffectOptions& options, util::Runner* runner) {
-  if (treated.size() < 10 || control.size() < 10) {
-    throw std::invalid_argument(
-        "quantile_treatment_effect: need >= 10 units per arm");
-  }
+namespace {
 
+/// One rung: the quantile-q effect over arms ranked once for the ladder.
+EffectEstimate quantile_treatment_effect(const stats::RankedSample& treated,
+                                         const stats::RankedSample& control,
+                                         double q,
+                                         const QuantileEffectOptions& options,
+                                         util::Runner* runner) {
   stats::Rng rng(options.seed);
-  const auto statistic = [q](std::span<const double> a,
-                             std::span<const double> b) {
-    return stats::quantile(a, q) - stats::quantile(b, q);
-  };
-  const stats::BootstrapInterval interval = stats::bootstrap_two_sample_ci(
-      treated, control, statistic, rng, options.bootstrap_replicates,
-      options.confidence_level, runner);
+  const stats::BootstrapInterval interval =
+      stats::bootstrap_quantile_difference_ci(
+          treated, control, q, rng, options.bootstrap_replicates,
+          options.confidence_level, runner);
 
   EffectEstimate effect;
   effect.estimate = interval.point;
@@ -35,20 +33,36 @@ EffectEstimate quantile_treatment_effect(
   // Two-sided p-value is not produced by the percentile bootstrap; leave
   // it at 1 unless the interval excludes zero (conventional shortcut).
   effect.p_value = effect.significant ? 0.049 : 1.0;
-  effect.baseline = stats::quantile(control, q);
+  effect.baseline = stats::quantile_sorted(control.sorted, q);
   return effect;
 }
+
+}  // namespace
 
 std::vector<QuantileEffectRow> quantile_effect_ladder(
     std::span<const Observation> rows, std::span<const double> quantiles,
     const QuantileEffectOptions& options, util::Runner* runner) {
-  // The arm partition is identical for every rung, so split the table
-  // once up front; each rung then bootstraps over the shared read-only
-  // outcome vectors.
+  // The arm partition is identical for every rung, so split and rank the
+  // table once up front; each rung then bootstraps over the shared
+  // read-only ranked arms.
   std::vector<double> treated, control;
+  std::size_t non_finite = 0;
   for (const Observation& row : rows) {
+    non_finite += !std::isfinite(row.outcome);
     (row.treated ? treated : control).push_back(row.outcome);
   }
+  if (non_finite > 0) {
+    throw std::invalid_argument(
+        "quantile_effect_ladder: " + std::to_string(non_finite) +
+        " non-finite outcome(s); quantiles need finite data");
+  }
+  if (treated.size() < 10 || control.size() < 10) {
+    throw std::invalid_argument(
+        "quantile_effect_ladder: need >= 10 units per arm");
+  }
+  const stats::RankedSample ranked_treated = stats::rank_sample(treated);
+  const stats::RankedSample ranked_control = stats::rank_sample(control);
+
   // Rungs are independent bootstraps with index-derived seeds, so the
   // runner can fan them out; the ladder is identical at any thread count.
   util::Runner& pool = runner ? *runner : util::global_runner();
@@ -57,8 +71,8 @@ std::vector<QuantileEffectRow> quantile_effect_ladder(
     QuantileEffectOptions step = options;
     step.seed = options.seed + i + 1;  // independent streams per quantile
     ladder[i].quantile = quantiles[i];
-    ladder[i].effect =
-        quantile_treatment_effect(treated, control, quantiles[i], step, runner);
+    ladder[i].effect = quantile_treatment_effect(
+        ranked_treated, ranked_control, quantiles[i], step, runner);
   });
   return ladder;
 }

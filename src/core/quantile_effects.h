@@ -25,17 +25,6 @@ struct QuantileEffectOptions {
   std::uint64_t seed = 7;
 };
 
-/// Quantile-q treatment effect over pre-partitioned arm outcomes:
-/// Q_q(treated) - Q_q(control), with a percentile-bootstrap interval
-/// (arms resampled independently). The ladder below splits the arms once
-/// and calls this per rung. `runner` controls where bootstrap replicates
-/// fan out (null = the process-wide runner); results are identical at any
-/// thread count.
-EffectEstimate quantile_treatment_effect(
-    std::span<const double> treated, std::span<const double> control,
-    double q, const QuantileEffectOptions& options = {},
-    util::Runner* runner = nullptr);
-
 /// A ladder of quantile effects (e.g. median, p90, p99) for one metric —
 /// congestion interference often concentrates in the tail, so the tail
 /// effects can disagree with the mean effect in both size and sign.
@@ -44,6 +33,13 @@ struct QuantileEffectRow {
   EffectEstimate effect;
 };
 
+/// Q_q(treated) - Q_q(control) for each q in `quantiles`, with
+/// percentile-bootstrap intervals (arms resampled independently; rung i
+/// draws from seed + i + 1). Each arm is sorted once for the whole
+/// ladder. Throws std::invalid_argument on a non-finite outcome or on an
+/// arm with fewer than 10 rows. `runner` controls where rungs and
+/// bootstrap replicates fan out (null = the process-wide runner); results
+/// are identical at any thread count.
 std::vector<QuantileEffectRow> quantile_effect_ladder(
     std::span<const Observation> rows,
     std::span<const double> quantiles,

@@ -1,6 +1,9 @@
 #include "stats/bootstrap.h"
 
 #include <algorithm>
+#include <iterator>
+#include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -11,22 +14,52 @@ namespace xp::stats {
 
 namespace {
 
-std::vector<double> resample(std::span<const double> sample, Rng& rng) {
-  std::vector<double> out(sample.size());
-  const std::size_t n = sample.size();
-  // Indices are drawn a stack-chunk at a time (fill_uniform_int preserves
-  // the one-at-a-time draw order exactly), so the generator recurrence
-  // runs back to back and the gather loop is free of it — the interleaved
-  // form re-entered the generator between every cache-missing gather.
+/// The bootstrap's one draw order: n indices uniform on [0, n), handed to
+/// `use(offset, chunk)` a stack-chunk at a time (fill_uniform_int
+/// preserves the one-at-a-time draw order exactly), so the generator
+/// recurrence runs back to back and the consuming loop is free of it.
+template <class Use>
+void draw_indices(std::size_t n, Rng& rng, Use&& use) {
   std::uint32_t idx[256];
-  std::size_t done = 0;
-  while (done < n) {
-    const std::size_t m = std::min(sizeof(idx) / sizeof(idx[0]), n - done);
+  for (std::size_t done = 0; done < n;) {
+    const std::size_t m = std::min(std::size(idx), n - done);
     rng.fill_uniform_int(n, {idx, m});
-    for (std::size_t j = 0; j < m; ++j) out[done + j] = sample[idx[j]];
+    use(done, std::span<const std::uint32_t>(idx, m));
     done += m;
   }
+}
+
+std::vector<double> resample(std::span<const double> sample, Rng& rng) {
+  std::vector<double> out(sample.size());
+  draw_indices(sample.size(), rng,
+               [&](std::size_t done, std::span<const std::uint32_t> idx) {
+                 for (std::size_t j = 0; j < idx.size(); ++j) {
+                   out[done + j] = sample[idx[j]];
+                 }
+               });
   return out;
+}
+
+/// Quantile of one resample of `arm`, read without building it: count how
+/// often each rank is drawn, then walk the prefix sums to the two order
+/// statistics. Position p of the sorted resample holds sorted[k] for the
+/// first k whose prefix count exceeds p — the same doubles a sort of the
+/// gathered resample puts there. Only equal values can trade places, and
+/// among finite doubles only +0.0 and -0.0 differ in bits while comparing
+/// equal; the interpolation returns +0.0 for either zero at lo or hi.
+double resampled_quantile(const RankedSample& arm, const QuantilePosition& at,
+                          Rng& rng, std::span<std::uint32_t> counts) {
+  const std::size_t n = arm.sorted.size();
+  std::fill_n(counts.begin(), n, 0u);
+  draw_indices(n, rng, [&](std::size_t, std::span<const std::uint32_t> idx) {
+    for (const std::uint32_t i : idx) ++counts[arm.rank[i]];
+  });
+  std::size_t k = 0;
+  std::size_t seen = counts[0];
+  while (seen <= at.lo) seen += counts[++k];
+  const double v_lo = arm.sorted[k];
+  while (seen <= at.hi) seen += counts[++k];
+  return at.interpolate(v_lo, arm.sorted[k]);
 }
 
 /// Independent substream for replicate `r`: counter-based (mix64 of a base
@@ -66,25 +99,48 @@ BootstrapInterval bootstrap_ci(std::span<const double> sample,
   return interval_from_replicates(statistic(sample), stats, confidence_level);
 }
 
-BootstrapInterval bootstrap_two_sample_ci(std::span<const double> a,
-                                          std::span<const double> b,
-                                          const TwoSampleStatistic& statistic,
-                                          Rng& rng, std::size_t replicates,
-                                          double confidence_level,
-                                          util::Runner* runner) {
-  if (a.empty() || b.empty()) {
-    throw std::invalid_argument("bootstrap_two_sample_ci: empty sample");
+RankedSample rank_sample(std::span<const double> sample) {
+  if (sample.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("rank_sample: 2^32 or more values");
   }
+  std::vector<std::uint32_t> order(sample.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t i, std::uint32_t j) {
+                     return sample[i] < sample[j];
+                   });
+  RankedSample ranked;
+  ranked.sorted.resize(sample.size());
+  ranked.rank.resize(sample.size());
+  for (std::uint32_t k = 0; k < order.size(); ++k) {
+    ranked.sorted[k] = sample[order[k]];
+    ranked.rank[order[k]] = k;
+  }
+  return ranked;
+}
+
+BootstrapInterval bootstrap_quantile_difference_ci(
+    const RankedSample& a, const RankedSample& b, double q, Rng& rng,
+    std::size_t replicates, double confidence_level, util::Runner* runner) {
+  if (a.sorted.size() < 2 || b.sorted.size() < 2) {
+    throw std::invalid_argument(
+        "bootstrap_quantile_difference_ci: need >= 2 values per arm");
+  }
+  const QuantilePosition at_a = quantile_position(a.sorted.size(), q);
+  const QuantilePosition at_b = quantile_position(b.sorted.size(), q);
   const std::uint64_t base = rng.next();
   std::vector<double> stats(replicates);
   util::Runner& pool = runner ? *runner : util::global_runner();
   pool.parallel_for(replicates, [&](std::size_t r) {
     Rng rep_rng = replicate_rng(base, r);
-    const std::vector<double> draw_a = resample(a, rep_rng);
-    const std::vector<double> draw_b = resample(b, rep_rng);
-    stats[r] = statistic(draw_a, draw_b);
+    std::vector<std::uint32_t> counts(
+        std::max(a.sorted.size(), b.sorted.size()));
+    const double q_a = resampled_quantile(a, at_a, rep_rng, counts);
+    stats[r] = q_a - resampled_quantile(b, at_b, rep_rng, counts);
   });
-  return interval_from_replicates(statistic(a, b), stats, confidence_level);
+  const double point =
+      quantile_sorted(a.sorted, q) - quantile_sorted(b.sorted, q);
+  return interval_from_replicates(point, stats, confidence_level);
 }
 
 }  // namespace xp::stats

@@ -41,15 +41,20 @@ double max(std::span<const double> xs) noexcept {
   return result;
 }
 
+QuantilePosition quantile_position(std::size_t n, double q) noexcept {
+  const double h = std::clamp(q, 0.0, 1.0) * static_cast<double>(n - 1);
+  QuantilePosition at;
+  at.lo = static_cast<std::size_t>(h);
+  at.hi = std::min(at.lo + 1, n - 1);
+  at.frac = h - static_cast<double>(at.lo);
+  return at;
+}
+
 double quantile_sorted(std::span<const double> sorted, double q) noexcept {
   if (sorted.empty()) return 0.0;
   if (sorted.size() == 1) return sorted[0];
-  q = std::clamp(q, 0.0, 1.0);
-  const double h = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(h);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = h - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+  const QuantilePosition at = quantile_position(sorted.size(), q);
+  return at.interpolate(sorted[at.lo], sorted[at.hi]);
 }
 
 double quantile(std::span<const double> xs, double q) {

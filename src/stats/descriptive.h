@@ -28,10 +28,29 @@ double min(std::span<const double> xs) noexcept;
 double max(std::span<const double> xs) noexcept;
 
 /// Linear-interpolation quantile (R type 7, the default in R/NumPy).
-/// q must be in [0, 1]. Returns 0 for an empty sample. Copies and sorts.
+/// q is clamped to [0, 1]. Returns 0 for an empty sample. Copies and
+/// sorts.
 double quantile(std::span<const double> xs, double q);
 
 /// Quantile over data the caller has already sorted ascending.
 double quantile_sorted(std::span<const double> sorted, double q) noexcept;
+
+/// Where the type-7 quantile q of n >= 1 sorted values falls: between
+/// order statistics `lo` and `hi = min(lo + 1, n - 1)`, `frac` of the way
+/// from the first to the second. q is clamped to [0, 1].
+struct QuantilePosition {
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  double frac = 0.0;
+
+  /// The quantile given the values of its two order statistics — the one
+  /// place the type-7 interpolation is written, so quantile_sorted and
+  /// the bootstrap's rank-count kernel agree to the bit.
+  double interpolate(double v_lo, double v_hi) const noexcept {
+    return v_lo + frac * (v_hi - v_lo);
+  }
+};
+
+QuantilePosition quantile_position(std::size_t n, double q) noexcept;
 
 }  // namespace xp::stats

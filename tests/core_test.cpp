@@ -3,13 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/analysis.h"
 #include "core/designs/gradual.h"
 #include "core/estimands.h"
+#include "core/quantile_effects.h"
 #include "lab/experiment.h"
 #include "lab/registry.h"
 #include "stats/rng.h"
@@ -135,6 +138,30 @@ TEST(ArmMean, SplitsCorrectly) {
   rows[3].treated = true;
   EXPECT_DOUBLE_EQ(arm_mean(rows, false), 2.0);
   EXPECT_DOUBLE_EQ(arm_mean(rows, true), 15.0);
+}
+
+// The ladder sorts its arms; a NaN breaks the ordering and an infinity
+// has no quantile, so either one is refused with a count rather than
+// sorted (the quantile/ladder estimator drops them before calling).
+TEST(QuantileLadder, NonFiniteOutcomeThrowsWithCount) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    std::vector<Observation> rows(40);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      rows[i].treated = i % 2 == 0;
+      rows[i].outcome = static_cast<double>(i);
+    }
+    rows[7].outcome = bad;
+    const double qs[] = {0.5, 0.9};
+    try {
+      quantile_effect_ladder(rows, qs);
+      ADD_FAILURE() << "ladder accepted outcome " << bad;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("1 non-finite"),
+                std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 TEST(EffectEstimate, RelativeHandlesZeroBaseline) {

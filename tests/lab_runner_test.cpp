@@ -195,18 +195,16 @@ TEST(Runner, TwoSampleBootstrapIsBitIdenticalAcrossThreadCounts) {
   for (auto& x : a) x = fill.normal(2.0, 1.0);
   for (auto& x : b) x = fill.normal(1.5, 1.0);
 
-  const auto statistic = [](std::span<const double> s,
-                            std::span<const double> t) {
-    return stats::mean(s) - stats::mean(t);
-  };
+  const stats::RankedSample ranked_a = stats::rank_sample(a);
+  const stats::RankedSample ranked_b = stats::rank_sample(b);
   util::Runner serial(1);
   util::Runner pool(4);
   stats::Rng rng1(42);
   stats::Rng rngN(42);
-  const auto ci1 = stats::bootstrap_two_sample_ci(a, b, statistic, rng1, 400,
-                                                  0.95, &serial);
-  const auto ciN = stats::bootstrap_two_sample_ci(a, b, statistic, rngN, 400,
-                                                  0.95, &pool);
+  const auto ci1 = stats::bootstrap_quantile_difference_ci(
+      ranked_a, ranked_b, 0.9, rng1, 400, 0.95, &serial);
+  const auto ciN = stats::bootstrap_quantile_difference_ci(
+      ranked_a, ranked_b, 0.9, rngN, 400, 0.95, &pool);
   EXPECT_EQ(ci1.point, ciN.point);
   EXPECT_EQ(ci1.low, ciN.low);
   EXPECT_EQ(ci1.high, ciN.high);
