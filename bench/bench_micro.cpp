@@ -19,7 +19,6 @@
 #include "util/runner.h"
 #include "sim/dumbbell.h"
 #include "sim/event_queue.h"
-#include "stats/bootstrap.h"
 #include "stats/descriptive.h"
 #include "stats/ols.h"
 #include "stats/rng.h"
@@ -56,9 +55,8 @@ BENCHMARK(BM_OlsHourlyFeNeweyWest);
 void BM_QuantileLadderBootstrap(benchmark::State& state) {
   // The Section-2 tail-effect ladder (median / p90 / p99) over a
   // session-sized observation table — the batched-resampling hot path
-  // behind every quantile figure. Single-threaded runner so the gate
-  // measures the kernel, not the fan-out.
-  xp::util::Runner runner(1);
+  // behind every quantile figure. The ladder is serial, so this is the
+  // kernel alone.
   xp::stats::Rng rng(4);
   std::vector<xp::core::Observation> rows(4000);
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -71,7 +69,7 @@ void BM_QuantileLadderBootstrap(benchmark::State& state) {
   options.bootstrap_replicates = 200;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        xp::core::quantile_effect_ladder(rows, quantiles, options, &runner));
+        xp::core::quantile_effect_ladder(rows, quantiles, options));
   }
 }
 BENCHMARK(BM_QuantileLadderBootstrap)->Unit(benchmark::kMillisecond);
@@ -232,26 +230,6 @@ BENCHMARK(BM_RunnerAllocationSweep)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-void BM_RunnerBootstrap(benchmark::State& state) {
-  xp::util::Runner runner(static_cast<std::size_t>(state.range(0)));
-  xp::stats::Rng fill(3);
-  std::vector<double> xs(5000);
-  for (auto& x : xs) x = fill.lognormal(0.0, 1.0);
-  const auto statistic = [](std::span<const double> s) {
-    return xp::stats::quantile(s, 0.95);
-  };
-  for (auto _ : state) {
-    xp::stats::Rng rng(9);
-    benchmark::DoNotOptimize(
-        xp::stats::bootstrap_ci(xs, statistic, rng, 200, 0.95, &runner));
-  }
-}
-BENCHMARK(BM_RunnerBootstrap)
-    ->Arg(1)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
 void BM_ExperimentPipeline(benchmark::State& state) {
   // End-to-end cost of the registry + pipeline seam: spec -> source
   // lookup -> replicate fan-out -> observation tables, riding the
@@ -284,9 +262,10 @@ void BM_TraceReplayDay(benchmark::State& state) {
   meta.horizon_s = 86400.0;
   const xp::trace::TraceSource source(
       xp::trace::make_log(sessions, meta), {});
+  xp::util::Runner runner(1);
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(source.run(0.95, seed++));
+    benchmark::DoNotOptimize(source.run(0.95, seed++, runner));
   }
 }
 BENCHMARK(BM_TraceReplayDay)->Unit(benchmark::kMillisecond);

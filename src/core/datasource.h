@@ -12,12 +12,18 @@
 #include <string_view>
 
 #include "core/observation_table.h"
+#include "util/runner.h"
 
 namespace xp::core {
 
 /// One data-generating process. Implementations must be stateless after
 /// construction: run() is called concurrently from pipeline threads and
 /// its result must be a pure function of (allocation, seed).
+///
+/// Threading: run() receives the runner the pipeline is running on. A
+/// source may fan its own work out on that runner (the fleet runs its
+/// shards there) and must never look a runner up — the thread count a
+/// caller asks for is the thread count it gets.
 class DataSource {
  public:
   virtual ~DataSource() = default;
@@ -34,8 +40,14 @@ class DataSource {
   /// Simulate (or replay) one world with fraction `allocation` of units
   /// treated. Sources that cannot re-randomize recorded data document
   /// how they interpret `allocation` (trace replay ignores it).
-  virtual ObservationTable run(double allocation,
-                               std::uint64_t seed) const = 0;
+  virtual ObservationTable run(double allocation, std::uint64_t seed,
+                               util::Runner& runner) const = 0;
+
+  /// Convenience form on the process-wide runner (util::global_runner()).
+  /// Kept for callers outside the pipeline that hold a DataSource pointer.
+  ObservationTable run(double allocation, std::uint64_t seed) const {
+    return run(allocation, seed, util::global_runner());
+  }
 
   /// The fraction of units the design *intends* to treat when run at
   /// `allocation` — the null hypothesis of the sample-ratio-mismatch

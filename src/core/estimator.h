@@ -24,7 +24,8 @@
 // is called concurrently from pipeline threads, and any randomness (e.g.
 // bootstrap resampling) must derive from EstimatorOptions::seed so the
 // result is a pure function of (report, metric, options) — bit-for-bit
-// identical at any thread count.
+// identical at any thread count. Each call is one of the pipeline's
+// analysis jobs and runs serially; an estimator never fans out itself.
 //
 // Degenerate inputs (a missing arm, too few hourly cells or accounts for
 // the underlying analysis, all-NaN outcomes, failed/skipped/quality-held

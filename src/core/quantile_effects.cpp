@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "util/runner.h"
 #include "stats/bootstrap.h"
 #include "stats/descriptive.h"
 
@@ -16,13 +15,12 @@ namespace {
 EffectEstimate quantile_treatment_effect(const stats::RankedSample& treated,
                                          const stats::RankedSample& control,
                                          double q,
-                                         const QuantileEffectOptions& options,
-                                         util::Runner* runner) {
+                                         const QuantileEffectOptions& options) {
   stats::Rng rng(options.seed);
   const stats::BootstrapInterval interval =
       stats::bootstrap_quantile_difference_ci(
           treated, control, q, rng, options.bootstrap_replicates,
-          options.confidence_level, runner);
+          options.confidence_level);
 
   EffectEstimate effect;
   effect.estimate = interval.point;
@@ -41,7 +39,7 @@ EffectEstimate quantile_treatment_effect(const stats::RankedSample& treated,
 
 std::vector<QuantileEffectRow> quantile_effect_ladder(
     std::span<const Observation> rows, std::span<const double> quantiles,
-    const QuantileEffectOptions& options, util::Runner* runner) {
+    const QuantileEffectOptions& options) {
   // The arm partition is identical for every rung, so split and rank the
   // table once up front; each rung then bootstraps over the shared
   // read-only ranked arms.
@@ -63,17 +61,14 @@ std::vector<QuantileEffectRow> quantile_effect_ladder(
   const stats::RankedSample ranked_treated = stats::rank_sample(treated);
   const stats::RankedSample ranked_control = stats::rank_sample(control);
 
-  // Rungs are independent bootstraps with index-derived seeds, so the
-  // runner can fan them out; the ladder is identical at any thread count.
-  util::Runner& pool = runner ? *runner : util::global_runner();
   std::vector<QuantileEffectRow> ladder(quantiles.size());
-  pool.parallel_for(quantiles.size(), [&](std::size_t i) {
+  for (std::size_t i = 0; i < quantiles.size(); ++i) {
     QuantileEffectOptions step = options;
     step.seed = options.seed + i + 1;  // independent streams per quantile
     ladder[i].quantile = quantiles[i];
     ladder[i].effect = quantile_treatment_effect(
-        ranked_treated, ranked_control, quantiles[i], step, runner);
-  });
+        ranked_treated, ranked_control, quantiles[i], step);
+  }
   return ladder;
 }
 

@@ -13,10 +13,6 @@
 #include "core/observation.h"
 #include "stats/rng.h"
 
-namespace xp::util {
-class Runner;  // rungs and replicates fan out here (see util/runner.h)
-}
-
 namespace xp::core {
 
 struct QuantileEffectOptions {
@@ -37,13 +33,11 @@ struct QuantileEffectRow {
 /// percentile-bootstrap intervals (arms resampled independently; rung i
 /// draws from seed + i + 1). Each arm is sorted once for the whole
 /// ladder. Throws std::invalid_argument on a non-finite outcome or on an
-/// arm with fewer than 10 rows. `runner` controls where rungs and
-/// bootstrap replicates fan out (null = the process-wide runner); results
-/// are identical at any thread count.
+/// arm with fewer than 10 rows. Serial: the pipeline fans out whole
+/// (estimator, metric) jobs, so the ladder runs inside one of them.
 std::vector<QuantileEffectRow> quantile_effect_ladder(
     std::span<const Observation> rows,
     std::span<const double> quantiles,
-    const QuantileEffectOptions& options = {},
-    util::Runner* runner = nullptr);
+    const QuantileEffectOptions& options = {});
 
 }  // namespace xp::core

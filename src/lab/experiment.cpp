@@ -30,7 +30,8 @@ void check(bool ok, const std::string& field, const std::string& requirement) {
 /// under every policy: util::BudgetExceeded is deterministic in
 /// (config, seed), so retrying or aborting the sweep over it is noise.
 void run_cell(core::ExperimentCell& cell, const DataSource& source,
-              std::uint64_t base_seed, const FailurePolicy& policy) {
+              std::uint64_t base_seed, const FailurePolicy& policy,
+              util::Runner& runner) {
   const std::uint32_t max_attempts =
       policy.mode == FailurePolicy::Mode::kRetry ? policy.max_attempts : 1;
   for (std::uint32_t attempt = 0; attempt < max_attempts; ++attempt) {
@@ -41,7 +42,7 @@ void run_cell(core::ExperimentCell& cell, const DataSource& source,
         attempt == 0 ? base_seed : stats::substream_seed(base_seed, attempt);
     cell.status.attempts = attempt + 1;
     try {
-      cell.table = source.run(cell.allocation, cell.seed);
+      cell.table = source.run(cell.allocation, cell.seed, runner);
       cell.status.state = core::CellState::kOk;
       cell.status.error.clear();
       return;
@@ -219,7 +220,7 @@ ExperimentReport run_experiment(const ExperimentSpec& spec,
               return;  // replayed from disk; nothing to recompute
             }
           }
-          run_cell(cell, *source, seed, spec.on_failure);
+          run_cell(cell, *source, seed, spec.on_failure, runner);
           if (cell.status.ok()) {
             cell.quality = core::assess_quality(
                 cell.table, source->intended_treated_fraction(cell.allocation),

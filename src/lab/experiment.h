@@ -128,8 +128,10 @@ struct JournalOptions {
 };
 
 /// Run the spec on the process-wide runner / an explicit runner (tests pin
-/// 1 vs N threads with the latter). The JournalOptions overloads resume
-/// from / append to a cell journal (see above).
+/// 1 vs N threads with the latter). Every cell, the source's own fan-out
+/// (a fleet's shards) and every analysis job run on that one runner. The
+/// JournalOptions overloads resume from / append to a cell journal (see
+/// above).
 ExperimentReport run_experiment(const ExperimentSpec& spec);
 ExperimentReport run_experiment(const ExperimentSpec& spec,
                                 util::Runner& runner);

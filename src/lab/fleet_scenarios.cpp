@@ -39,8 +39,8 @@ class FleetSource final : public DataSource {
     return fleet_.base.treat_probability[0];
   }
 
-  ObservationTable run(double allocation,
-                       std::uint64_t seed) const override {
+  ObservationTable run(double allocation, std::uint64_t seed,
+                       util::Runner& runner) const override {
     const video::FleetConfig fleet = configured(allocation, seed);
     // Budget currency = ticks summed across shards, checked up front
     // (serially, so the throw is deterministic and no shard starts when
@@ -57,7 +57,7 @@ class FleetSource final : public DataSource {
                                     budget_.max_work_units);
       }
     }
-    return run_fleet(fleet, util::global_runner());
+    return run_fleet(fleet, runner);
   }
 
   double intended_treated_fraction(double allocation) const noexcept override {

@@ -29,8 +29,8 @@ class DumbbellSource final : public DataSource {
   std::string_view name() const noexcept override { return name_; }
   double default_allocation() const noexcept override { return 0.5; }
 
-  ObservationTable run(double allocation,
-                       std::uint64_t seed) const override {
+  ObservationTable run(double allocation, std::uint64_t seed,
+                       util::Runner&) const override {
     LabConfig config = config_;
     config.seed = seed;
     const auto treated_count = static_cast<std::size_t>(std::lround(
@@ -93,8 +93,8 @@ class PairedLinkSource final : public DataSource {
     return allocation_sets_treatment_ ? config_.treat_probability[0] : 0.0;
   }
 
-  ObservationTable run(double allocation,
-                       std::uint64_t seed) const override {
+  ObservationTable run(double allocation, std::uint64_t seed,
+                       util::Runner&) const override {
     const video::ClusterConfig config = configured(allocation, seed);
     const video::ClusterResult result = video::run_paired_links(config);
     ObservationTable table = core::metric_table(result.sessions);

@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "util/runner.h"
 #include "stats/descriptive.h"
 
 namespace xp::stats {
@@ -27,17 +26,6 @@ void draw_indices(std::size_t n, Rng& rng, Use&& use) {
     use(done, std::span<const std::uint32_t>(idx, m));
     done += m;
   }
-}
-
-std::vector<double> resample(std::span<const double> sample, Rng& rng) {
-  std::vector<double> out(sample.size());
-  draw_indices(sample.size(), rng,
-               [&](std::size_t done, std::span<const std::uint32_t> idx) {
-                 for (std::size_t j = 0; j < idx.size(); ++j) {
-                   out[done + j] = sample[idx[j]];
-                 }
-               });
-  return out;
 }
 
 /// Quantile of one resample of `arm`, read without building it: count how
@@ -63,8 +51,8 @@ double resampled_quantile(const RankedSample& arm, const QuantilePosition& at,
 }
 
 /// Independent substream for replicate `r`: counter-based (mix64 of a base
-/// drawn once from the caller's stream), so replicates can run on any
-/// thread in any order and the interval is still bit-for-bit reproducible.
+/// drawn once from the caller's stream), so each replicate's draws depend
+/// only on the seed and r, never on what the other replicates drew.
 Rng replicate_rng(std::uint64_t base, std::size_t r) {
   return Rng{mix64(base ^ (0x9e3779b97f4a7c15ULL + r))};
 }
@@ -83,21 +71,6 @@ BootstrapInterval interval_from_replicates(double point,
 }
 
 }  // namespace
-
-BootstrapInterval bootstrap_ci(std::span<const double> sample,
-                               const Statistic& statistic, Rng& rng,
-                               std::size_t replicates,
-                               double confidence_level, util::Runner* runner) {
-  if (sample.empty()) throw std::invalid_argument("bootstrap_ci: empty sample");
-  const std::uint64_t base = rng.next();
-  std::vector<double> stats(replicates);
-  util::Runner& pool = runner ? *runner : util::global_runner();
-  pool.parallel_for(replicates, [&](std::size_t r) {
-    Rng rep_rng = replicate_rng(base, r);
-    stats[r] = statistic(resample(sample, rep_rng));
-  });
-  return interval_from_replicates(statistic(sample), stats, confidence_level);
-}
 
 RankedSample rank_sample(std::span<const double> sample) {
   if (sample.size() > std::numeric_limits<std::uint32_t>::max()) {
@@ -121,7 +94,7 @@ RankedSample rank_sample(std::span<const double> sample) {
 
 BootstrapInterval bootstrap_quantile_difference_ci(
     const RankedSample& a, const RankedSample& b, double q, Rng& rng,
-    std::size_t replicates, double confidence_level, util::Runner* runner) {
+    std::size_t replicates, double confidence_level) {
   if (a.sorted.size() < 2 || b.sorted.size() < 2) {
     throw std::invalid_argument(
         "bootstrap_quantile_difference_ci: need >= 2 values per arm");
@@ -130,14 +103,15 @@ BootstrapInterval bootstrap_quantile_difference_ci(
   const QuantilePosition at_b = quantile_position(b.sorted.size(), q);
   const std::uint64_t base = rng.next();
   std::vector<double> stats(replicates);
-  util::Runner& pool = runner ? *runner : util::global_runner();
-  pool.parallel_for(replicates, [&](std::size_t r) {
+  // resampled_quantile zero-fills its counts, so one buffer serves every
+  // replicate and both arms.
+  std::vector<std::uint32_t> counts(
+      std::max(a.sorted.size(), b.sorted.size()));
+  for (std::size_t r = 0; r < replicates; ++r) {
     Rng rep_rng = replicate_rng(base, r);
-    std::vector<std::uint32_t> counts(
-        std::max(a.sorted.size(), b.sorted.size()));
     const double q_a = resampled_quantile(a, at_a, rep_rng, counts);
     stats[r] = q_a - resampled_quantile(b, at_b, rep_rng, counts);
-  });
+  }
   const double point =
       quantile_sorted(a.sorted, q) - quantile_sorted(b.sorted, q);
   return interval_from_replicates(point, stats, confidence_level);

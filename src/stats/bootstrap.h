@@ -1,46 +1,29 @@
 // Nonparametric bootstrap confidence intervals.
 //
-// Callers: core::quantile_effect_ladder bootstraps each rung's quantile
-// difference through bootstrap_quantile_difference_ci; bootstrap_ci, the
-// one-sample form, is timed by bench_micro.
+// Caller: core::quantile_effect_ladder bootstraps each rung's quantile
+// difference through bootstrap_quantile_difference_ci.
 //
-// Replicates run on the process-wide parallel runner. Each replicate draws
-// from its own counter-based RNG substream (seeded by a single draw from
-// the caller's Rng), so intervals are bit-for-bit reproducible for a given
-// seed at any thread count.
+// The kernel is serial; parallelism lives one level up, in the pipeline's
+// (estimator, metric) analysis jobs. Each replicate still draws from its
+// own counter-based RNG substream (seeded by a single draw from the
+// caller's Rng), so an interval is a pure function of that seed.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
 #include "stats/rng.h"
 
-namespace xp::util {
-class Runner;  // replicates fan out on the util runner (see util/runner.h)
-}
-
 namespace xp::stats {
 
-/// Percentile-bootstrap interval for a scalar statistic of one sample.
+/// Percentile-bootstrap interval for a scalar statistic.
 struct BootstrapInterval {
   double point = 0.0;   ///< statistic of the original sample
   double low = 0.0;
   double high = 0.0;
   double std_error = 0.0;  ///< bootstrap standard deviation
 };
-
-/// Statistic of a single sample, e.g. the mean or a quantile.
-using Statistic = std::function<double(std::span<const double>)>;
-
-/// Percentile bootstrap for a one-sample statistic. Pass `runner` to pin a
-/// specific thread pool (tests); nullptr uses the process-wide runner.
-BootstrapInterval bootstrap_ci(std::span<const double> sample,
-                               const Statistic& statistic, Rng& rng,
-                               std::size_t replicates = 1000,
-                               double confidence_level = 0.95,
-                               util::Runner* runner = nullptr);
 
 /// A sample sorted once so every resample can be read in linear time.
 struct RankedSample {
@@ -61,7 +44,6 @@ RankedSample rank_sample(std::span<const double> sample);
 /// quantile_sorted. Both arms need at least two values.
 BootstrapInterval bootstrap_quantile_difference_ci(
     const RankedSample& a, const RankedSample& b, double q, Rng& rng,
-    std::size_t replicates = 1000, double confidence_level = 0.95,
-    util::Runner* runner = nullptr);
+    std::size_t replicates = 1000, double confidence_level = 0.95);
 
 }  // namespace xp::stats

@@ -94,7 +94,8 @@ double TraceSource::intended_treated_fraction(
 }
 
 core::ObservationTable TraceSource::run(double /*allocation*/,
-                                        std::uint64_t seed) const {
+                                        std::uint64_t seed,
+                                        util::Runner&) const {
   // Per link, draw as many hourly cells (with replacement) as the log
   // has, keeping each drawn cell's rows together — within-hour congestion
   // coupling survives, the week's hour mix is re-drawn.

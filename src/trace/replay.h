@@ -64,8 +64,8 @@ class TraceSource final : public core::DataSource {
   /// Block-bootstraps the log's hourly cells per link (seed-pure) into
   /// the standard metric columns (core::metric_table). `allocation` is
   /// ignored — a recorded design cannot be re-randomized.
-  core::ObservationTable run(double allocation,
-                             std::uint64_t seed) const override;
+  core::ObservationTable run(double allocation, std::uint64_t seed,
+                             util::Runner&) const override;
 
   /// The recorded design's intended treated fraction (SRM null), from the
   /// header; falls back to the log's observed fraction.

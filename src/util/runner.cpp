@@ -1,13 +1,18 @@
 #include "util/runner.h"
 
 #include <atomic>
+#include <charconv>
 #include <condition_variable>
 #include <cstdlib>
 #include <deque>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <string>
+#include <string_view>
+#include <system_error>
 #include <thread>
+#include <vector>
 
 namespace xp::util {
 
@@ -160,8 +165,16 @@ void Runner::parallel_for(std::size_t n,
 
 std::size_t default_thread_count() {
   if (const char* env = std::getenv("XP_THREADS")) {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed > 0) return static_cast<std::size_t>(parsed);
+    const std::string_view token(env);
+    std::size_t parsed = 0;
+    const auto [end, ec] =
+        std::from_chars(token.data(), token.data() + token.size(), parsed);
+    if (ec != std::errc{} || end != token.data() + token.size() ||
+        parsed == 0) {
+      throw std::invalid_argument("XP_THREADS: expected a positive integer, "
+                                  "got \"" + std::string(token) + "\"");
+    }
+    return parsed;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;

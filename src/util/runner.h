@@ -17,14 +17,17 @@
 // thread count, including 1.
 //
 // The calling thread participates in draining its own job, so nested
-// parallel_for calls (a bootstrap inside a sweep point) cannot deadlock
-// and a Runner with 1 thread degrades to plain serial execution.
+// parallel_for calls (a fleet's shards inside a pipeline cell) cannot
+// deadlock and a Runner with 1 thread degrades to plain serial execution.
+//
+// Runners are passed, never looked up: library code fans out only on the
+// runner its caller hands it. global_runner() exists for the convenience
+// entry points (lab::run_experiment(spec), DataSource::run(p, seed)).
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <functional>
-#include <vector>
 
 namespace xp::util {
 
@@ -71,22 +74,15 @@ class Runner {
                     const std::function<void(std::size_t)>& body,
                     StopToken* stop = nullptr);
 
-  /// Map i -> job(i) into an index-ordered vector.
-  template <typename R>
-  std::vector<R> map(std::size_t n,
-                     const std::function<R(std::size_t)>& job) {
-    std::vector<R> out(n);
-    parallel_for(n, [&](std::size_t i) { out[i] = job(i); });
-    return out;
-  }
-
  private:
   struct Impl;
   Impl* impl_;
 };
 
 /// Worker count used by the process-wide runner: the XP_THREADS environment
-/// variable when set, else std::thread::hardware_concurrency().
+/// variable when set, else std::thread::hardware_concurrency(). XP_THREADS
+/// must be a positive decimal integer, whole token; anything else throws
+/// std::invalid_argument naming the variable and the token.
 std::size_t default_thread_count();
 
 /// Process-wide shared runner (lazily constructed, default_thread_count()).

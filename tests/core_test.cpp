@@ -187,7 +187,8 @@ class SyntheticWorld final : public lab::DataSource {
       : name_(std::move(name)), world_(world) {}
   std::string_view name() const noexcept override { return name_; }
   double default_allocation() const noexcept override { return 0.5; }
-  lab::ObservationTable run(double p, std::uint64_t seed) const override {
+  lab::ObservationTable run(double p, std::uint64_t seed,
+                            util::Runner&) const override {
     lab::ObservationTable table;
     table.add_column("outcome", world_(p, seed));
     return table;

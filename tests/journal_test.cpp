@@ -53,8 +53,8 @@ class JournalWorld final : public lab::DataSource {
   }
   double default_allocation() const noexcept override { return 0.5; }
 
-  lab::ObservationTable run(double allocation,
-                            std::uint64_t seed) const override {
+  lab::ObservationTable run(double allocation, std::uint64_t seed,
+                            util::Runner&) const override {
     ++source_runs();
     if (poisoned_seeds().count(seed) > 0) {
       throw std::runtime_error("injected crash (seed " +

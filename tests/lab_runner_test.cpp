@@ -5,14 +5,14 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "lab/experiment.h"
 #include "util/runner.h"
-#include "stats/bootstrap.h"
-#include "stats/descriptive.h"
 
 namespace xp {
 namespace {
@@ -33,12 +33,31 @@ TEST(Runner, SingleThreadRunsInline) {
   EXPECT_EQ(sum, 4950);
 }
 
-TEST(Runner, MapPreservesIndexOrder) {
-  util::Runner runner(4);
-  const std::vector<double> out = runner.map<double>(
-      64, [](std::size_t i) { return static_cast<double>(i) * 1.5; });
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_DOUBLE_EQ(out[i], static_cast<double>(i) * 1.5);
+TEST(Runner, ThreadCountEnvironmentIsParsedStrictly) {
+  // Set and restore XP_THREADS around each read: a partly consumed,
+  // non-numeric, zero, negative or empty token is an error, never a
+  // silent fallback to hardware concurrency.
+  const char* saved = std::getenv("XP_THREADS");
+  const std::string restore = saved ? saved : "";
+  for (const char* bad : {"4x", "abc", "0", "-2", ""}) {
+    SCOPED_TRACE(bad);
+    ASSERT_EQ(setenv("XP_THREADS", bad, 1), 0);
+    try {
+      util::default_thread_count();
+      ADD_FAILURE() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("XP_THREADS"), std::string::npos) << what;
+      EXPECT_NE(what.find('"' + std::string(bad) + '"'), std::string::npos)
+          << what;
+    }
+  }
+  ASSERT_EQ(setenv("XP_THREADS", "3", 1), 0);
+  EXPECT_EQ(util::default_thread_count(), 3u);
+  if (saved) {
+    setenv("XP_THREADS", restore.c_str(), 1);
+  } else {
+    unsetenv("XP_THREADS");
   }
 }
 
@@ -165,50 +184,6 @@ TEST(Runner, SweepIsBitIdenticalAcrossThreadCounts) {
     }
     EXPECT_EQ(a.aggregates, b.aggregates);
   }
-}
-
-TEST(Runner, BootstrapIsBitIdenticalAcrossThreadCounts) {
-  stats::Rng fill(7);
-  std::vector<double> xs(200);
-  for (auto& x : xs) x = fill.lognormal(0.0, 1.0);
-
-  const auto statistic = [](std::span<const double> s) {
-    return stats::mean(s);
-  };
-  util::Runner serial(1);
-  util::Runner pool(4);
-  stats::Rng rng1(42);
-  stats::Rng rngN(42);
-  const auto ci1 = stats::bootstrap_ci(xs, statistic, rng1, 500, 0.95,
-                                       &serial);
-  const auto ciN = stats::bootstrap_ci(xs, statistic, rngN, 500, 0.95,
-                                       &pool);
-  EXPECT_EQ(ci1.point, ciN.point);
-  EXPECT_EQ(ci1.low, ciN.low);
-  EXPECT_EQ(ci1.high, ciN.high);
-  EXPECT_EQ(ci1.std_error, ciN.std_error);
-}
-
-TEST(Runner, TwoSampleBootstrapIsBitIdenticalAcrossThreadCounts) {
-  stats::Rng fill(11);
-  std::vector<double> a(120), b(150);
-  for (auto& x : a) x = fill.normal(2.0, 1.0);
-  for (auto& x : b) x = fill.normal(1.5, 1.0);
-
-  const stats::RankedSample ranked_a = stats::rank_sample(a);
-  const stats::RankedSample ranked_b = stats::rank_sample(b);
-  util::Runner serial(1);
-  util::Runner pool(4);
-  stats::Rng rng1(42);
-  stats::Rng rngN(42);
-  const auto ci1 = stats::bootstrap_quantile_difference_ci(
-      ranked_a, ranked_b, 0.9, rng1, 400, 0.95, &serial);
-  const auto ciN = stats::bootstrap_quantile_difference_ci(
-      ranked_a, ranked_b, 0.9, rngN, 400, 0.95, &pool);
-  EXPECT_EQ(ci1.point, ciN.point);
-  EXPECT_EQ(ci1.low, ciN.low);
-  EXPECT_EQ(ci1.high, ciN.high);
-  EXPECT_EQ(ci1.std_error, ciN.std_error);
 }
 
 }  // namespace

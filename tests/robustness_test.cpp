@@ -63,8 +63,8 @@ class TestSource final : public lab::DataSource {
   std::string_view name() const noexcept override { return name_; }
   double default_allocation() const noexcept override { return 0.5; }
 
-  lab::ObservationTable run(double allocation,
-                            std::uint64_t seed) const override {
+  lab::ObservationTable run(double allocation, std::uint64_t seed,
+                            util::Runner&) const override {
     ++test_source_runs();
     if (kind_ == Kind::kFlaky && poisoned_seeds().count(seed) > 0) {
       throw std::runtime_error("injected infrastructure fault (seed " +

@@ -336,9 +336,10 @@ TEST(TraceReplay, VerbatimReproducesExportedColumns) {
 
 TEST(TraceReplay, BootstrapIsPureInTheSeed) {
   const trace::TraceSource source(smoke_world_log(), {});
-  const auto a = source.run(0.95, 11);
-  const auto b = source.run(0.95, 11);
-  const auto c = source.run(0.95, 12);
+  util::Runner runner(1);
+  const auto a = source.run(0.95, 11, runner);
+  const auto b = source.run(0.95, 11, runner);
+  const auto c = source.run(0.95, 12, runner);
   ASSERT_EQ(a.metrics, b.metrics);
   const auto& col_a = a.column("video bitrate");
   const auto& col_b = b.column("video bitrate");
