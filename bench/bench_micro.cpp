@@ -15,6 +15,7 @@
 #include "core/quantile_effects.h"
 #include "lab/experiment.h"
 #include "lab/fleet_scenarios.h"
+#include "lab/registry.h"
 #include "lab/scenarios.h"
 #include "util/runner.h"
 #include "sim/dumbbell.h"
@@ -176,6 +177,21 @@ void BM_DumbbellSimSecond(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DumbbellSimSecond)->Unit(benchmark::kMillisecond);
+
+void BM_DumbbellBbrVsCubicCell(benchmark::State& state) {
+  // One cell of perfbench's lab_sweep through the registry: five BBR and
+  // five Cubic apps on the lossy Section 3 dumbbell, where SACK loss
+  // recovery (the scoreboard's hole search) is the hot path that the
+  // low-loss BM_DumbbellSimSecond world never reaches.
+  xp::lab::SourceOptions options;
+  options.duration_scale = 0.05;
+  const auto source = xp::lab::make_scenario("dumbbell/bbr_vs_cubic", options);
+  xp::util::Runner runner(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(source->run(0.5, /*seed=*/1, runner));
+  }
+}
+BENCHMARK(BM_DumbbellBbrVsCubicCell)->Unit(benchmark::kMillisecond);
 
 void BM_PairedLinksDay(benchmark::State& state) {
   // One simulated day of the canonical Section 4 experiment world — the

@@ -37,78 +37,12 @@ std::pair<std::uint64_t, bool> insert_segment(
   return {seq, true};
 }
 
-/// Merge [start, end) into a merged-range map; returns segments added.
-std::uint64_t insert_range(std::map<std::uint64_t, std::uint64_t>& ranges,
-                           std::uint64_t start, std::uint64_t end) {
-  if (start >= end) return 0;
-  std::uint64_t added = 0;
-  // Find the first range that could overlap or touch [start, end).
-  auto it = ranges.lower_bound(start);
-  if (it != ranges.begin() && std::prev(it)->second >= start) --it;
-  std::uint64_t new_start = start;
-  std::uint64_t new_end = end;
-  std::uint64_t covered = 0;
-  while (it != ranges.end() && it->first <= new_end) {
-    new_start = std::min(new_start, it->first);
-    new_end = std::max(new_end, it->second);
-    covered += it->second - it->first;
-    it = ranges.erase(it);
-  }
-  added = (new_end - new_start) - covered;
-  ranges.emplace(new_start, new_end);
-  return added;
-}
-
-/// Remove all segments below `floor` from a merged-range map; returns the
-/// number of segments removed.
-std::uint64_t trim_below(std::map<std::uint64_t, std::uint64_t>& ranges,
-                         std::uint64_t floor) {
-  std::uint64_t removed = 0;
-  while (!ranges.empty()) {
-    auto it = ranges.begin();
-    if (it->second <= floor) {
-      removed += it->second - it->first;
-      ranges.erase(it);
-    } else if (it->first < floor) {
-      removed += floor - it->first;
-      const std::uint64_t end = it->second;
-      ranges.erase(it);
-      ranges.emplace(floor, end);
-      break;
-    } else {
-      break;
-    }
-  }
-  return removed;
-}
-
 /// True when `seq` is contained in a merged-range map.
 bool contains(const std::map<std::uint64_t, std::uint64_t>& ranges,
               std::uint64_t seq) {
   auto it = ranges.upper_bound(seq);
   if (it == ranges.begin()) return false;
   return std::prev(it)->second > seq;
-}
-
-/// Remove the intersection of [start, end) from a merged-range map;
-/// returns the number of segments removed.
-std::uint64_t erase_overlap(std::map<std::uint64_t, std::uint64_t>& ranges,
-                            std::uint64_t start, std::uint64_t end) {
-  if (start >= end) return 0;
-  std::uint64_t removed = 0;
-  auto it = ranges.lower_bound(start);
-  if (it != ranges.begin() && std::prev(it)->second > start) --it;
-  while (it != ranges.end() && it->first < end) {
-    const std::uint64_t r_start = it->first;
-    const std::uint64_t r_end = it->second;
-    it = ranges.erase(it);
-    const std::uint64_t cut_start = std::max(r_start, start);
-    const std::uint64_t cut_end = std::min(r_end, end);
-    removed += cut_end - cut_start;
-    if (r_start < cut_start) ranges.emplace(r_start, cut_start);
-    if (cut_end < r_end) it = ranges.emplace(cut_end, r_end).first;
-  }
-  return removed;
 }
 
 }  // namespace
@@ -144,7 +78,7 @@ std::uint64_t TcpConnection::pipe_segments() const noexcept {
   // FACK pipe: data above the forward-most SACK is in flight; holes below
   // it are presumed lost (minus what we already retransmitted).
   const std::uint64_t fack = std::clamp(fack_, snd_una_, snd_nxt_);
-  return (snd_nxt_ - fack) + retx_sent_count_;
+  return (snd_nxt_ - fack) + scoreboard_.retransmitted_count();
 }
 
 std::uint64_t TcpConnection::usable_window_bytes() const noexcept {
@@ -181,24 +115,11 @@ std::uint64_t TcpConnection::next_lost_segment() {
   // Lowest hole below the loss horizon not yet retransmitted. Normally the
   // horizon is FACK minus a reordering margin (the SACK analog of three
   // dupACKs); after an RTO every unsacked segment below rto_recover_seq_
-  // is eligible. Scan the sacked ranges from the bottom.
+  // is eligible.
   std::uint64_t limit = 0;
   if (fack_ >= snd_una_ + kLossThreshold) limit = fack_ - kLossThreshold;
   if (rto_recovery_) limit = std::max(limit, rto_recover_seq_);
-  if (limit <= snd_una_) return kNone;
-  std::uint64_t candidate = snd_una_;
-  auto it = sacked_.begin();
-  while (candidate < limit) {
-    // Skip past sacked ranges covering the candidate.
-    while (it != sacked_.end() && it->second <= candidate) ++it;
-    if (it != sacked_.end() && it->first <= candidate) {
-      candidate = it->second;
-      continue;
-    }
-    if (!contains(retx_sent_, candidate)) return candidate;
-    ++candidate;
-  }
-  return kNone;
+  return scoreboard_.next_lost(snd_una_, limit);
 }
 
 void TcpConnection::try_send() {
@@ -206,17 +127,15 @@ void TcpConnection::try_send() {
   while (pipe_segments() * wire_bytes() < window) {
     // Retransmissions take priority over new data (RFC 6675 NextSeg).
     const std::uint64_t lost = next_lost_segment();
-    if (lost != kNone) {
+    if (lost != SackScoreboard::kNone) {
       if (pace_gate()) return;
-      insert_range(retx_sent_, lost, lost + 1);
-      ++retx_sent_count_;
+      scoreboard_.mark_retransmitted(lost);
       send_segment(lost, /*retransmit=*/true);
       continue;
     }
     if (pace_gate()) return;
-    send_segment(snd_nxt_, /*retransmit=*/snd_nxt_ < highest_sent_);
+    send_segment(snd_nxt_, /*retransmit=*/false);
     ++snd_nxt_;
-    highest_sent_ = std::max(highest_sent_, snd_nxt_);
   }
 }
 
@@ -245,10 +164,8 @@ void TcpConnection::merge_sack_blocks(const Ack& ack) {
     const SackRange& block = ack.sack[i];
     const std::uint64_t start = std::max(block.start, snd_una_);
     if (start >= block.end) continue;
-    sacked_count_ += insert_range(sacked_, start, block.end);
+    scoreboard_.mark_sacked(start, block.end);
     fack_ = std::max(fack_, block.end);
-    // A SACKed retransmission is confirmed delivered.
-    retx_sent_count_ -= erase_overlap(retx_sent_, start, block.end);
   }
 }
 
@@ -260,8 +177,6 @@ void TcpConnection::on_ack_at_sender(const Ack& ack) {
   if (advanced) {
     newly_acked_segments = ack.ack_seq - snd_una_;
     snd_una_ = ack.ack_seq;
-    // An ACK in flight across a go-back-N resynch can overtake snd_nxt_.
-    if (snd_nxt_ < snd_una_) snd_nxt_ = snd_una_;
     stats_.bytes_acked += newly_acked_segments * config_.mss_bytes;
     delivered_bytes_ += newly_acked_segments * wire_bytes();
     rtt_.reset_backoff();
@@ -270,8 +185,7 @@ void TcpConnection::on_ack_at_sender(const Ack& ack) {
   // Update scoreboard and receiver-truth delivery counter.
   merge_sack_blocks(ack);
   if (advanced) {
-    sacked_count_ -= trim_below(sacked_, snd_una_);
-    retx_sent_count_ -= trim_below(retx_sent_, snd_una_);
+    scoreboard_.trim_below(snd_una_);
     fack_ = std::max(fack_, snd_una_);
   }
   if (ack.rcv_delivered_segments > rcv_delivered_seen_) {
@@ -330,7 +244,7 @@ void TcpConnection::on_ack_at_sender(const Ack& ack) {
 
   // SACK-based loss detection: a hole sufficiently far below the forward
   // edge starts a recovery episode (once per window, like 3 dupACKs).
-  if (!in_recovery_ && next_lost_segment() != kNone) {
+  if (!in_recovery_ && next_lost_segment() != SackScoreboard::kNone) {
     in_recovery_ = true;
     recover_seq_ = snd_nxt_;
     ++stats_.fast_retransmits;
@@ -358,8 +272,7 @@ void TcpConnection::on_rto() {
   // and make every unsacked segment up to snd_nxt_ retransmittable. The
   // congestion window collapse (cc_->on_timeout) paces the repair.
   in_recovery_ = false;
-  retx_sent_.clear();
-  retx_sent_count_ = 0;
+  scoreboard_.forget_retransmissions();
   rto_recovery_ = true;
   rto_recover_seq_ = snd_nxt_;
   arm_rto();

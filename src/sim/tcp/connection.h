@@ -2,8 +2,9 @@
 //
 // The sender implements window-based transmission with optional pacing,
 // SACK-based loss recovery (RFC 2018 blocks with FACK-style loss
-// detection and pipe accounting), retransmission timeouts with go-back-N
-// resynchronization as the last resort, Karn's rule for RTT sampling, and
+// detection and pipe accounting, over the SackScoreboard), RFC 6675
+// retransmission timeouts that keep the scoreboard and make every unSACKed
+// segment retransmittable, Karn's rule for RTT sampling, and
 // receiver-truth delivery-rate samples for rate-based congestion control.
 // The receiver generates cumulative ACKs with SACK blocks — immediately on
 // out-of-order data, every `ack_every` segments otherwise (stretch ACKs, as
@@ -23,6 +24,7 @@
 #include "sim/simulator.h"
 #include "sim/tcp/congestion_control.h"
 #include "sim/tcp/rtt_estimator.h"
+#include "sim/tcp/scoreboard.h"
 
 namespace xp::sim {
 
@@ -113,7 +115,7 @@ class TcpConnection {
   void send_segment(std::uint64_t seq, bool retransmit);
   void on_ack_at_sender(const Ack& ack);
   void merge_sack_blocks(const Ack& ack);
-  /// Lowest lost-but-not-retransmitted segment, or kNone when none.
+  /// Lowest lost-but-not-retransmitted segment, or SackScoreboard::kNone.
   std::uint64_t next_lost_segment();
   bool pace_gate();  ///< true when pacing defers transmission right now
   void arm_rto();
@@ -123,7 +125,6 @@ class TcpConnection {
     return config_.mss_bytes + config_.header_bytes;
   }
 
-  static constexpr std::uint64_t kNone = ~std::uint64_t{0};
   /// FACK reordering margin: a hole this many segments below the highest
   /// SACKed segment is declared lost (the SACK analog of 3 dupACKs).
   static constexpr std::uint64_t kLossThreshold = 3;
@@ -138,16 +139,10 @@ class TcpConnection {
   // Sequence state (in MSS-sized segments).
   std::uint64_t snd_nxt_ = 0;
   std::uint64_t snd_una_ = 0;
-  std::uint64_t highest_sent_ = 0;  ///< one past highest ever transmitted
 
-  // SACK scoreboard: merged [start, end) ranges above snd_una_.
-  std::map<std::uint64_t, std::uint64_t> sacked_;
-  std::uint64_t sacked_count_ = 0;  ///< total segments in sacked_
-  std::uint64_t fack_ = 0;          ///< one past highest SACKed/ACKed seg
-  /// Segments retransmitted and not yet cumulatively acked or SACKed
-  /// (merged ranges; usually tiny).
-  std::map<std::uint64_t, std::uint64_t> retx_sent_;
-  std::uint64_t retx_sent_count_ = 0;
+  // SACK state above snd_una_.
+  SackScoreboard scoreboard_;
+  std::uint64_t fack_ = 0;  ///< one past highest SACKed/ACKed seg
 
   // Recovery episode bookkeeping.
   bool in_recovery_ = false;

@@ -1,8 +1,12 @@
 // TCP machinery: RTT estimation, windowed filters, congestion control
-// algorithms, and connection-level behaviours on a controlled link.
+// algorithms, the SACK scoreboard, and connection-level behaviours on a
+// controlled link.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "sim/link.h"
 #include "sim/tcp/bbr.h"
@@ -10,7 +14,9 @@
 #include "sim/tcp/cubic.h"
 #include "sim/tcp/reno.h"
 #include "sim/tcp/rtt_estimator.h"
+#include "sim/tcp/scoreboard.h"
 #include "sim/tcp/windowed_filter.h"
+#include "stats/rng.h"
 
 namespace xp::sim {
 namespace {
@@ -261,6 +267,119 @@ TEST(CcFactory, BbrMustPace) {
   const auto reno =
       make_congestion_control(CcAlgorithm::kReno, test_cc_config());
   EXPECT_FALSE(reno->must_pace());
+}
+
+// --- SACK scoreboard ---
+
+TEST(SackScoreboard, SkipsRetransmittedRangesAndRtoReopensThem) {
+  SackScoreboard board;
+  board.mark_sacked(6, 10);
+  EXPECT_EQ(board.next_lost(0, 10), 0u);
+  for (std::uint64_t seq = 0; seq < 3; ++seq) board.mark_retransmitted(seq);
+  EXPECT_EQ(board.next_lost(0, 10), 3u);
+  board.mark_retransmitted(3);
+  board.mark_retransmitted(4);
+  board.mark_retransmitted(5);
+  EXPECT_EQ(board.next_lost(0, 10), SackScoreboard::kNone);
+  EXPECT_EQ(board.retransmitted_count(), 6u);
+  board.mark_sacked(2, 4);  // two retransmissions confirmed
+  EXPECT_EQ(board.retransmitted_count(), 4u);
+  EXPECT_EQ(board.sacked_count(), 6u);
+  board.forget_retransmissions();
+  EXPECT_EQ(board.next_lost(1, 10), 1u);
+  board.trim_below(5);
+  EXPECT_EQ(board.sacked_count(), 4u);
+  EXPECT_EQ(board.next_lost(5, 10), 5u);
+}
+
+/// Brute-force scoreboard: one (sacked, retransmitted) flag pair per
+/// segment, scanned linearly from snd_una.
+struct ReferenceScoreboard {
+  std::vector<bool> sacked;
+  std::vector<bool> retx;
+  std::uint64_t snd_una = 0;
+
+  explicit ReferenceScoreboard(std::uint64_t segments)
+      : sacked(segments), retx(segments) {}
+
+  std::uint64_t next_lost(std::uint64_t limit) const {
+    for (std::uint64_t seq = snd_una; seq < limit; ++seq) {
+      if (!sacked[seq] && !retx[seq]) return seq;
+    }
+    return SackScoreboard::kNone;
+  }
+  std::uint64_t count(const std::vector<bool>& flags) const {
+    std::uint64_t n = 0;
+    for (std::uint64_t seq = snd_una; seq < flags.size(); ++seq) n += flags[seq];
+    return n;
+  }
+};
+
+// Seeded random sequences of what the sender does to its scoreboard —
+// SACK blocks, retransmissions of the returned hole, cumulative-ACK trims,
+// RTO forgets, new data and a moving loss horizon — checked against the
+// reference after every operation: the cursor and the range jumps must
+// never change an answer.
+TEST(SackScoreboard, NextLostMatchesBruteForceReference) {
+  for (std::uint64_t seed = 1; seed <= 3000; ++seed) {
+    stats::Rng rng(seed);
+    const std::uint64_t window = 1 + rng.uniform_int(512);
+    const std::uint64_t segments = 4 * window;
+    SackScoreboard board;
+    ReferenceScoreboard ref(segments);
+    std::uint64_t snd_nxt = window;
+    std::uint64_t limit = 0;
+    for (int op = 0; op < 64; ++op) {
+      const std::uint64_t snd_una = ref.snd_una;
+      switch (rng.uniform_int(6)) {
+        case 0:  // SACK block inside the flight
+          if (snd_una < snd_nxt) {
+            const std::uint64_t start =
+                snd_una + rng.uniform_int(snd_nxt - snd_una);
+            const std::uint64_t end = std::min(
+                snd_nxt, start + 1 + rng.uniform_int(1 + window / 8));
+            board.mark_sacked(start, end);
+            for (std::uint64_t seq = start; seq < end; ++seq) {
+              ref.sacked[seq] = true;
+              ref.retx[seq] = false;
+            }
+          }
+          break;
+        case 1: {  // retransmit the hole the search returns
+          const std::uint64_t hole = board.next_lost(snd_una, limit);
+          if (hole != SackScoreboard::kNone) {
+            board.mark_retransmitted(hole);
+            ref.retx[hole] = true;
+          }
+          break;
+        }
+        case 2:  // cumulative ACK
+          if (snd_una < snd_nxt) {
+            ref.snd_una = snd_una + 1 + rng.uniform_int(snd_nxt - snd_una);
+            board.trim_below(ref.snd_una);
+          }
+          break;
+        case 3:  // RTO
+          board.forget_retransmissions();
+          ref.retx.assign(segments, false);
+          break;
+        case 4:  // new data, up to a window beyond snd_una
+          snd_nxt = std::min(
+              {segments, snd_una + window,
+               snd_nxt + 1 + rng.uniform_int(1 + window / 4)});
+          break;
+        default:  // the loss horizon moves, either way
+          limit = rng.uniform_int(snd_nxt + 1);
+          break;
+      }
+      ASSERT_EQ(board.next_lost(ref.snd_una, limit), ref.next_lost(limit))
+          << "seed " << seed << " op " << op;
+      ASSERT_EQ(board.sacked_count(), ref.count(ref.sacked))
+          << "seed " << seed << " op " << op;
+      ASSERT_EQ(board.retransmitted_count(), ref.count(ref.retx))
+          << "seed " << seed << " op " << op;
+    }
+  }
 }
 
 // --- Connection-level behaviour on a lossless link ---

@@ -31,9 +31,9 @@
 
 namespace {
 
-int usage(const char* argv0) {
+void print_usage(std::FILE* out, const char* argv0) {
   std::fprintf(
-      stderr,
+      out,
       "usage: %s --scenario <registry key>\n"
       "          [--journal <dir>]       resume from / append to a cell\n"
       "                                  journal (<dir>/cells.xpj, v%u)\n"
@@ -50,8 +50,14 @@ int usage(const char* argv0) {
       "          [--trace-file <path>]   session log for trace/* scenarios\n"
       "       %s --list-scenarios       print scenario registry keys\n"
       "       %s --list-estimators      print estimator registry keys\n"
+      "       %s --help                 print this message\n"
       "Exit codes: 0 all cells OK, 3 partial completion, 1 error, 2 usage.\n",
-      argv0, xp::lab::kJournalVersion, argv0, argv0);
+      argv0, xp::lab::kJournalVersion, argv0, argv0, argv0);
+}
+
+/// A usage error: the usage on stderr, exit code 2.
+int usage(const char* argv0) {
+  print_usage(stderr, argv0);
   return 2;
 }
 
@@ -90,7 +96,11 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (std::strcmp(argv[i], "--list-scenarios") == 0) {
+    if (std::strcmp(argv[i], "--help") == 0 ||
+        std::strcmp(argv[i], "-h") == 0) {
+      print_usage(stdout, argv[0]);
+      return 0;
+    } else if (std::strcmp(argv[i], "--list-scenarios") == 0) {
       // Registry introspection: print the keys and exit 0 — no spec
       // needed (today unknown keys only surface in the error message).
       for (const std::string& name : xp::lab::scenario_names()) {
