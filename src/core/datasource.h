@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 
 #include "core/observation_table.h"
 #include "util/runner.h"
@@ -18,7 +17,9 @@ namespace xp::core {
 
 /// One data-generating process. Implementations must be stateless after
 /// construction: run() is called concurrently from pipeline threads and
-/// its result must be a pure function of (allocation, seed).
+/// its result must be a pure function of (allocation, seed). A source
+/// has no name of its own: the registry key it is published under is
+/// its only name.
 ///
 /// Threading: run() receives the runner the pipeline is running on. A
 /// source may fan its own work out on that runner (the fleet runs its
@@ -27,9 +28,6 @@ namespace xp::core {
 class DataSource {
  public:
   virtual ~DataSource() = default;
-
-  /// The registry key this source is published under.
-  virtual std::string_view name() const noexcept = 0;
 
   /// The allocation of the canonical experiment (e.g. 0.95 for the
   /// paired-link capping experiment); pipelines use it when a spec does

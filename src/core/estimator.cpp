@@ -226,8 +226,6 @@ class BuiltinEstimator : public Estimator {
 /// data, one pooled "tau" row.
 class NaiveAbEstimator final : public BuiltinEstimator {
  public:
-  std::string_view name() const noexcept override { return "naive/ab"; }
-
   std::vector<EstimateRow> rows(
       const ExperimentReport& report, std::string_view metric,
       const EstimatorOptions& options) const override {
@@ -278,10 +276,6 @@ class NaiveAbEstimator final : public BuiltinEstimator {
 /// account-level Welch read — the Figure 13 aggregation comparison.
 class PairedLinkTteEstimator final : public BuiltinEstimator {
  public:
-  std::string_view name() const noexcept override {
-    return "paired_link/tte";
-  }
-
   std::vector<EstimateRow> rows(
       const ExperimentReport& report, std::string_view metric,
       const EstimatorOptions& options) const override {
@@ -319,10 +313,6 @@ class PairedLinkTteEstimator final : public BuiltinEstimator {
 /// link vs control units on the mostly-control link, hourly FE pipeline.
 class PairedLinkSpilloverEstimator final : public BuiltinEstimator {
  public:
-  std::string_view name() const noexcept override {
-    return "paired_link/spillover";
-  }
-
   std::vector<EstimateRow> rows(
       const ExperimentReport& report, std::string_view metric,
       const EstimatorOptions& options) const override {
@@ -355,10 +345,6 @@ class PairedLinkSpilloverEstimator final : public BuiltinEstimator {
 /// paired global control cell when the data is paired.
 class SwitchbackTteEstimator final : public BuiltinEstimator {
  public:
-  std::string_view name() const noexcept override {
-    return "switchback/tte";
-  }
-
   std::vector<EstimateRow> rows(
       const ExperimentReport& report, std::string_view metric,
       const EstimatorOptions& options) const override {
@@ -392,10 +378,6 @@ class SwitchbackTteEstimator final : public BuiltinEstimator {
 /// biased.
 class EventStudyTteEstimator final : public BuiltinEstimator {
  public:
-  std::string_view name() const noexcept override {
-    return "event_study/tte";
-  }
-
   std::vector<EstimateRow> rows(
       const ExperimentReport& report, std::string_view metric,
       const EstimatorOptions& options) const override {
@@ -429,10 +411,6 @@ class EventStudyTteEstimator final : public BuiltinEstimator {
 /// these rows.
 class GradualContrastEstimator final : public BuiltinEstimator {
  public:
-  std::string_view name() const noexcept override {
-    return "gradual/contrast";
-  }
-
   std::vector<EstimateRow> rows(
       const ExperimentReport& report, std::string_view metric,
       const EstimatorOptions& options) const override {
@@ -528,10 +506,6 @@ class GradualContrastEstimator final : public BuiltinEstimator {
 /// count.
 class QuantileLadderEstimator final : public BuiltinEstimator {
  public:
-  std::string_view name() const noexcept override {
-    return "quantile/ladder";
-  }
-
   std::vector<EstimateRow> rows(
       const ExperimentReport& report, std::string_view metric,
       const EstimatorOptions& options) const override {
@@ -601,8 +575,6 @@ class QuantileLadderEstimator final : public BuiltinEstimator {
 /// account-level difference. Either way the expected answer is "null".
 class AaNullEstimator final : public BuiltinEstimator {
  public:
-  std::string_view name() const noexcept override { return "aa/null"; }
-
   std::vector<EstimateRow> rows(
       const ExperimentReport& report, std::string_view metric,
       const EstimatorOptions& options) const override {
@@ -653,8 +625,6 @@ class AaNullEstimator final : public BuiltinEstimator {
 /// through run_experiment.
 class SrmGuardrailEstimator final : public BuiltinEstimator {
  public:
-  std::string_view name() const noexcept override { return "guardrail/srm"; }
-
   std::vector<EstimateRow> rows(
       const ExperimentReport& report, std::string_view metric,
       const EstimatorOptions& options) const override {
@@ -723,27 +693,6 @@ util::StringRegistry<EstimatorFactory>& registry() {
 }
 
 }  // namespace
-
-EstimateTable Estimator::estimate(const ExperimentReport& report,
-                                  const EstimatorOptions& options) const {
-  EstimateTable table;
-  table.estimator = std::string(name());
-  // Metric names anchor on the first OK cell — the same anchor the
-  // parallel pipeline uses, so serial and fanned-out analysis agree even
-  // on partially-failed reports (no OK cell -> an empty named table).
-  const ExperimentCell* first_ok = report.first_ok_cell();
-  if (first_ok == nullptr) return table;
-  const std::vector<std::string>& metrics = first_ok->table.metrics;
-  for (std::size_t m = 0; m < metrics.size(); ++m) {
-    EstimatorOptions metric_options = options;
-    metric_options.seed = metric_seed(options.seed, m);
-    for (EstimateRow& row :
-         estimate_metric(report, metrics[m], metric_options)) {
-      table.add_row(std::move(row));
-    }
-  }
-  return table;
-}
 
 std::uint64_t metric_seed(std::uint64_t base,
                           std::size_t metric_index) noexcept {

@@ -1,10 +1,13 @@
 // First-class estimators: the analysis half of the spec -> data ->
 // estimate pipeline, mirroring the scenario registry on the data side.
 //
-// An Estimator turns a completed ExperimentReport (replicate observation
-// tables) into an EstimateTable (named EffectEstimate rows with CIs and
-// per-replicate spread). Every experiment design the paper compares is
-// published as one registry key:
+// An Estimator turns one metric column of a completed ExperimentReport
+// (replicate observation tables) into EstimateRows (named EffectEstimate
+// rows with CIs and per-replicate spread). lab::run_experiment's analysis
+// stage is the one path from a report to EstimateTables: it runs each
+// (estimator, metric) pair as one job and labels the table with the
+// registry key, which is an estimator's only name. Every experiment
+// design the paper compares is published as one registry key:
 //
 //   naive/ab              account-level A/B read within each link
 //   paired_link/tte       approximate TTE from the paired-link contrast
@@ -63,19 +66,10 @@ class Estimator {
  public:
   virtual ~Estimator() = default;
 
-  /// The registry key this estimator is published under.
-  virtual std::string_view name() const noexcept = 0;
-
   /// Estimate rows for one metric column across all the report's cells.
   virtual std::vector<EstimateRow> estimate_metric(
       const ExperimentReport& report, std::string_view metric,
       const EstimatorOptions& options) const = 0;
-
-  /// Full table: every metric of the report, serially. Each metric gets
-  /// the metric_seed(options.seed, index) substream, so this produces
-  /// exactly the table the parallel pipeline fan-out assembles.
-  EstimateTable estimate(const ExperimentReport& report,
-                         const EstimatorOptions& options = {}) const;
 };
 
 /// Deterministic substream for metric column `metric_index` under `base`
@@ -86,10 +80,8 @@ std::uint64_t metric_seed(std::uint64_t base,
 using EstimatorFactory = std::function<std::unique_ptr<Estimator>()>;
 
 /// Publish an estimator. Throws std::invalid_argument on duplicate names.
-/// The estimator's name() must equal the key it is registered under: the
-/// pipeline labels report tables by registry key while the serial
-/// Estimator::estimate path labels them by name(), and the two must
-/// agree for ExperimentReport::estimates_for to behave identically.
+/// The key is the estimator's only name: the pipeline labels each report
+/// table with it.
 void register_estimator(std::string name, EstimatorFactory factory);
 
 /// Instantiate a registered estimator. Unknown names throw

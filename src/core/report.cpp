@@ -4,6 +4,8 @@
 #include <ostream>
 #include <string>
 
+#include "core/session_metrics.h"
+
 namespace xp::core {
 
 std::string format_relative(const EffectEstimate& estimate) {
@@ -51,23 +53,6 @@ void print_estimate_table(std::ostream& os, const EstimateTable& table) {
                   table.names[i].c_str(),
                   format_relative(row.effect()).c_str(), spread.mean * 100.0,
                   spread.min * 100.0, spread.max * 100.0);
-    os << line << '\n';
-  }
-}
-
-void print_cell_table(std::ostream& os, const PairedLinkReport& report,
-                      std::string_view unit_label, double unit_scale) {
-  char line[160];
-  os << "cells for " << metric_name(report.metric) << " (" << unit_label
-     << "):\n";
-  std::snprintf(line, sizeof(line), "  %-26s %12s %12s", "",
-                "control", "treatment");
-  os << line << '\n';
-  for (int link = 0; link < 2; ++link) {
-    std::snprintf(line, sizeof(line), "  link %d (%3.0f%% treated)      %12.3f %12.3f",
-                  link + 1, link == 0 ? 95.0 : 5.0,
-                  report.cell_mean[link][0] * unit_scale,
-                  report.cell_mean[link][1] * unit_scale);
     os << line << '\n';
   }
 }

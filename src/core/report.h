@@ -3,11 +3,8 @@
 #pragma once
 
 #include <iosfwd>
-#include <span>
 #include <string>
-#include <string_view>
 
-#include "core/designs/paired_link.h"
 #include "core/estimands.h"
 #include "core/estimate_table.h"
 
@@ -28,9 +25,5 @@ void print_figure5_table(std::ostream& os, const EstimateTable& naive,
 /// Generic dump of one estimator's table: every row with its headline
 /// relative effect and the across-replicate spread.
 void print_estimate_table(std::ostream& os, const EstimateTable& table);
-
-/// Print the Figure 7/8 style cell table for one metric.
-void print_cell_table(std::ostream& os, const PairedLinkReport& report,
-                      std::string_view unit_label, double unit_scale);
 
 }  // namespace xp::core

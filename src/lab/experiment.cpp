@@ -241,12 +241,12 @@ ExperimentReport run_experiment(const ExperimentSpec& spec,
       },
       &stop);
 
-  // Analysis stage: fan (estimator, metric) jobs across the runner. Each
-  // job's substream derives from its (estimator, metric) indices — not
-  // from scheduling order — and rows land in index-addressed slots, so
-  // the estimates are bit-for-bit identical at any thread count and
-  // match a serial Estimator::estimate over the same report. Metric
-  // names anchor on the first OK cell so a failed replicate 0 does not
+  // Analysis stage — the one path from a report to estimate tables: fan
+  // (estimator, metric) jobs across the runner. Each job's substream
+  // derives from its (estimator, metric) indices — not from scheduling
+  // order — and rows land in index-addressed slots, so the estimates are
+  // bit-for-bit identical at any thread count. Tables are labelled by
+  // registry key, an estimator's only name. Metric names anchor on the first OK cell so a failed replicate 0 does not
   // silence the analysis; with no OK cells at all, the report still
   // carries one (empty) named table per requested estimator.
   if (!estimators.empty()) {

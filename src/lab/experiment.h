@@ -109,9 +109,8 @@ void validate(const ExperimentSpec& spec);
 std::uint64_t cell_seed(std::uint64_t base, std::size_t index) noexcept;
 
 /// Deterministic substream base of estimator `estimator_index` under the
-/// spec seed; each metric then gets core::metric_seed(base, m). Running
-/// estimator e of a spec serially via Estimator::estimate with this seed
-/// reproduces the pipeline's table exactly.
+/// spec seed; the analysis job of (estimator e, metric m) runs
+/// Estimator::estimate_metric with core::metric_seed(base, m).
 std::uint64_t estimator_seed(std::uint64_t base,
                              std::size_t estimator_index) noexcept;
 

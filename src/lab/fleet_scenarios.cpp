@@ -29,11 +29,8 @@ double shard_nominal_ticks(const video::ClusterConfig& config) {
 
 class FleetSource final : public DataSource {
  public:
-  FleetSource(std::string name, video::FleetConfig fleet,
-              util::RunBudget budget)
-      : name_(std::move(name)), fleet_(std::move(fleet)), budget_(budget) {}
-
-  std::string_view name() const noexcept override { return name_; }
+  FleetSource(video::FleetConfig fleet, util::RunBudget budget)
+      : fleet_(std::move(fleet)), budget_(budget) {}
 
   double default_allocation() const noexcept override {
     return fleet_.base.treat_probability[0];
@@ -99,7 +96,6 @@ class FleetSource final : public DataSource {
     return fleet;
   }
 
-  std::string name_;
   video::FleetConfig fleet_;
   util::RunBudget budget_;
 };
@@ -240,12 +236,10 @@ video::FleetConfig canonical_heterogeneous_fleet_config() {
 void install_fleet_scenarios(std::map<std::string, SourceFactory>& reg) {
   reg.emplace("fleet/experiment", [](const SourceOptions& opt) {
     return std::make_unique<FleetSource>(
-        "fleet/experiment", tuned_fleet(canonical_fleet_config(32), opt),
-        opt.budget);
+        tuned_fleet(canonical_fleet_config(32), opt), opt.budget);
   });
   reg.emplace("fleet/heterogeneous", [](const SourceOptions& opt) {
     return std::make_unique<FleetSource>(
-        "fleet/heterogeneous",
         tuned_fleet(canonical_heterogeneous_fleet_config(), opt), opt.budget);
   });
 }

@@ -23,10 +23,9 @@ namespace {
 /// Section 3 dumbbell lab: one treatment, columns for every app metric.
 class DumbbellSource final : public DataSource {
  public:
-  DumbbellSource(std::string name, Treatment treatment, LabConfig config)
-      : name_(std::move(name)), treatment_(treatment), config_(config) {}
+  DumbbellSource(Treatment treatment, LabConfig config)
+      : treatment_(treatment), config_(config) {}
 
-  std::string_view name() const noexcept override { return name_; }
   double default_allocation() const noexcept override { return 0.5; }
 
   ObservationTable run(double allocation, std::uint64_t seed,
@@ -73,7 +72,6 @@ class DumbbellSource final : public DataSource {
   }
 
  private:
-  std::string name_;
   Treatment treatment_;
   LabConfig config_;
 };
@@ -82,13 +80,10 @@ class DumbbellSource final : public DataSource {
 /// metric set, plus the hourly diagnostics as series.
 class PairedLinkSource final : public DataSource {
  public:
-  PairedLinkSource(std::string name, video::ClusterConfig config,
-                   bool allocation_sets_treatment)
-      : name_(std::move(name)),
-        config_(config),
+  PairedLinkSource(video::ClusterConfig config, bool allocation_sets_treatment)
+      : config_(config),
         allocation_sets_treatment_(allocation_sets_treatment) {}
 
-  std::string_view name() const noexcept override { return name_; }
   double default_allocation() const noexcept override {
     return allocation_sets_treatment_ ? config_.treat_probability[0] : 0.0;
   }
@@ -141,7 +136,6 @@ class PairedLinkSource final : public DataSource {
     return config;
   }
 
-  std::string name_;
   video::ClusterConfig config_;
   bool allocation_sets_treatment_;
 };
@@ -171,9 +165,9 @@ video::ClusterConfig tuned(video::ClusterConfig config,
 
 void install_builtins(std::map<std::string, SourceFactory>& reg) {
   const auto dumbbell = [&](const char* name, Treatment treatment) {
-    reg.emplace(name, [name, treatment](const SourceOptions& opt) {
+    reg.emplace(name, [treatment](const SourceOptions& opt) {
       return std::make_unique<DumbbellSource>(
-          name, treatment, tuned(canonical_lab_config(), opt));
+          treatment, tuned(canonical_lab_config(), opt));
     });
   };
   dumbbell("dumbbell/two_connections", Treatment::kTwoConnections);
@@ -182,13 +176,12 @@ void install_builtins(std::map<std::string, SourceFactory>& reg) {
 
   reg.emplace("paired_links/experiment", [](const SourceOptions& opt) {
     return std::make_unique<PairedLinkSource>(
-        "paired_links/experiment",
         tuned(canonical_experiment_config(), opt),
         /*allocation_sets_treatment=*/true);
   });
   reg.emplace("paired_links/baseline", [](const SourceOptions& opt) {
     return std::make_unique<PairedLinkSource>(
-        "paired_links/baseline", tuned(canonical_baseline_config(), opt),
+        tuned(canonical_baseline_config(), opt),
         /*allocation_sets_treatment=*/false);
   });
 
@@ -197,12 +190,12 @@ void install_builtins(std::map<std::string, SourceFactory>& reg) {
   // treatment — the whole point of the policy layer.
   const auto paired_policy = [&](const char* name, const char* control,
                                  const char* treatment) {
-    reg.emplace(name, [name, control, treatment](const SourceOptions& opt) {
+    reg.emplace(name, [control, treatment](const SourceOptions& opt) {
       video::ClusterConfig config = tuned(canonical_experiment_config(), opt);
       config.control_policy = control;
       config.treatment_policy = treatment;
       return std::make_unique<PairedLinkSource>(
-          name, config, /*allocation_sets_treatment=*/true);
+          config, /*allocation_sets_treatment=*/true);
     });
   };
   // Deeper capping than the 2020 program ran: does halving the ceiling
@@ -222,11 +215,11 @@ void install_builtins(std::map<std::string, SourceFactory>& reg) {
   // canonical 5-day seconds; scaled() shrinks them with the horizon.
   const auto paired_faults = [&](const char* name,
                                  video::FaultPlan (*plan)()) {
-    reg.emplace(name, [name, plan](const SourceOptions& opt) {
+    reg.emplace(name, [plan](const SourceOptions& opt) {
       video::ClusterConfig config = canonical_experiment_config();
       config.faults = plan();
       return std::make_unique<PairedLinkSource>(
-          name, tuned(config, opt),
+          tuned(config, opt),
           /*allocation_sets_treatment=*/true);
     });
   };
@@ -234,7 +227,6 @@ void install_builtins(std::map<std::string, SourceFactory>& reg) {
   // capacity through an evening peak two days later.
   paired_faults("paired_links/outage", [] {
     video::FaultPlan plan;
-    plan.name = "outage";
     plan.link_faults.push_back({/*link=*/0, 1.75 * 86400.0, 1.85 * 86400.0,
                                 /*capacity_factor=*/0.0});
     plan.link_faults.push_back({/*link=*/1, 3.20 * 86400.0, 3.50 * 86400.0,
@@ -244,7 +236,6 @@ void install_builtins(std::map<std::string, SourceFactory>& reg) {
   // A flash crowd multiplies arrivals by 1.8x over a ~6-hour window.
   paired_faults("paired_links/flash_crowd", [] {
     video::FaultPlan plan;
-    plan.name = "flash_crowd";
     plan.demand_faults.push_back(
         {2.70 * 86400.0, 2.95 * 86400.0, /*rate_multiplier=*/1.8});
     return plan;
@@ -253,7 +244,6 @@ void install_builtins(std::map<std::string, SourceFactory>& reg) {
   // records vanish and 3% lose their network metrics.
   paired_faults("paired_links/lossy_telemetry", [] {
     video::FaultPlan plan;
-    plan.name = "lossy_telemetry";
     plan.telemetry.drop_probability = 0.05;
     plan.telemetry.corrupt_probability = 0.03;
     return plan;
@@ -274,7 +264,6 @@ void install_builtins(std::map<std::string, SourceFactory>& reg) {
           "or the XP_TRACE_FILE environment variable");
     }
     trace::ReplayConfig config;
-    config.name = "trace/replay";
     config.duration_scale = opt.duration_scale;
     config.max_rows = opt.budget.max_work_units;
     return std::make_unique<trace::TraceSource>(trace::read_trace_file(path),
@@ -303,7 +292,6 @@ void install_builtins(std::map<std::string, SourceFactory>& reg) {
     meta.seed = config.seed;
     meta.horizon_s = config.days * 86400.0;
     trace::ReplayConfig replay;
-    replay.name = "trace/self_calibration";
     // The horizon was already scaled at simulation time; the replay side
     // keeps the whole exported log.
     replay.duration_scale = 1.0;

@@ -86,6 +86,7 @@ using SourceFactory =
     std::function<std::unique_ptr<DataSource>(const SourceOptions&)>;
 
 /// Publish a scenario. Throws std::invalid_argument on duplicate names.
+/// The key is the source's only name: a DataSource does not carry one.
 void register_scenario(std::string name, SourceFactory factory);
 
 /// Instantiate a registered scenario. Unknown names throw

@@ -1,6 +1,5 @@
 #include "sim/simulator.h"
 
-#include <limits>
 #include <utility>
 
 #include "util/budget.h"
@@ -18,10 +17,9 @@ EventId Simulator::schedule_in(Time delay, Callback&& callback) {
 }
 
 void Simulator::run_until(Time until) {
-  stopped_ = false;
   Time at = 0.0;
   Callback callback;
-  while (!stopped_ && queue_.pop_until(until, at, callback)) {
+  while (queue_.pop_until(until, at, callback)) {
     // Budget check between events (one predictable compare in the
     // unlimited case): the popped event is charged before it runs, so an
     // exhausted budget throws instead of executing event budget + 1.
@@ -32,11 +30,7 @@ void Simulator::run_until(Time until) {
     ++executed_;
     callback();
   }
-  if (!stopped_ && now_ < until) now_ = until;
-}
-
-void Simulator::run() {
-  run_until(std::numeric_limits<Time>::max());
+  if (now_ < until) now_ = until;
 }
 
 }  // namespace xp::sim

@@ -31,12 +31,6 @@ class Simulator {
   /// Events at exactly `until` are executed.
   void run_until(Time until);
 
-  /// Run until the event queue is empty.
-  void run();
-
-  /// Stop a run_until/run loop from inside a callback.
-  void stop() noexcept { stopped_ = true; }
-
   /// Cooperative work budget: run_until throws util::BudgetExceeded
   /// before executing event max_events + 1 (0 = unlimited, the default).
   /// The cap counts *lifetime* executed events, checked between events —
@@ -56,7 +50,6 @@ class Simulator {
   Time now_ = 0.0;
   std::uint64_t executed_ = 0;
   std::uint64_t event_budget_ = 0;  ///< 0 = unlimited
-  bool stopped_ = false;
 };
 
 }  // namespace xp::sim

@@ -23,8 +23,7 @@ std::uint64_t cell_key(const video::SessionRecord& row) noexcept {
 }  // namespace
 
 TraceSource::TraceSource(TraceLog log, ReplayConfig config)
-    : name_(std::move(config.name)),
-      max_rows_(config.max_rows),
+    : max_rows_(config.max_rows),
       meta_(std::move(log.meta)) {
   // Horizon truncation (SourceOptions::duration_scale semantics): only
   // sessions arriving before scale x recorded-horizon replay. A header

@@ -15,10 +15,12 @@
 // independent) while re-drawing the week's hour mix.
 //
 // Registry contract: stateless after construction, pure in
-// (allocation, seed). A recorded log cannot be re-randomized, so
-// `allocation` is ignored (documented on core::DataSource);
-// default_allocation() and intended_treated_fraction() report the log's
-// recorded design so the SRM guardrail tests the right null.
+// (allocation, seed); the registry key (trace/replay or
+// trace/self_calibration) is the source's only name. A recorded log
+// cannot be re-randomized, so `allocation` is ignored (documented on
+// core::DataSource); default_allocation() and intended_treated_fraction()
+// report the log's recorded design so the SRM guardrail tests the right
+// null.
 // SourceOptions::duration_scale is honored by truncating the replayed
 // horizon at construction: only sessions arriving before
 // duration_scale x recorded-horizon replay (see lab/datasource.h).
@@ -26,7 +28,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/datasource.h"
@@ -36,7 +37,6 @@
 namespace xp::trace {
 
 struct ReplayConfig {
-  std::string name = "trace/replay";  ///< registry key to report
   /// Truncate the replayed horizon to this fraction of the recorded one
   /// (values >= 1 replay the full log; recorded data cannot be extended).
   double duration_scale = 1.0;
@@ -54,8 +54,6 @@ class TraceSource final : public core::DataSource {
   /// dropped here, once; hourly-cell indices are precomputed so run() is
   /// read-only over shared state (the concurrency contract).
   TraceSource(TraceLog log, ReplayConfig config);
-
-  std::string_view name() const noexcept override { return name_; }
 
   /// The allocation recorded in the log header (falling back to the log's
   /// observed treated fraction when the header does not carry one).
@@ -81,7 +79,6 @@ class TraceSource final : public core::DataSource {
     std::uint32_t end = 0;
   };
 
-  std::string name_;
   std::uint64_t max_rows_ = 0;  ///< ReplayConfig::max_rows (0 = unlimited)
   TraceMeta meta_;
   double observed_treated_fraction_ = 0.0;

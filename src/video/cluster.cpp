@@ -38,12 +38,6 @@ void validate(const ClusterConfig& config) {
         "devices.{mobile,hd,uhd}_fraction", "must sum to 1");
   check(d.mobile_ceiling > 0.0 && d.hd_ceiling > 0.0 && d.uhd_ceiling > 0.0,
         "devices.{mobile,hd,uhd}_ceiling", "must be positive");
-  // cap_fraction parameterizes the default treatment arm only; a named
-  // treatment_policy carries its own (already-validated) parameters.
-  check(config.treatment_policy.empty() ? config.cap_fraction > 0.0 &&
-                                              config.cap_fraction <= 1.0
-                                        : true,
-        "cap_fraction", "must be in (0, 1]");
   check(is_probability(config.treat_probability[0]), "treat_probability[0]",
         "must be in [0, 1]");
   check(is_probability(config.treat_probability[1]), "treat_probability[1]",
@@ -81,22 +75,11 @@ ClusterResult run_paired_links(const ClusterConfig& config,
                                const SessionSink& sink) {
   validate(config);
 
-  // Resolve the arm policies once, up front — unknown names throw (with
-  // the registered alternatives listed) before any simulation work. The
-  // empty defaults are the paper's arms: device-ceiling control and
-  // fractional capping at cap_fraction.
-  const TreatmentPolicy control = make_policy(
-      config.control_policy.empty() ? "control" : config.control_policy);
-  TreatmentPolicy treatment;
-  if (config.treatment_policy.empty()) {
-    // Built directly (not via the "cap/<fraction>" parser) so the exact
-    // double in cap_fraction is used, with no decimal round-trip.
-    treatment.name = "cap";
-    treatment.ladder.kind = LadderPolicy::Kind::kCapFraction;
-    treatment.ladder.cap_fraction = config.cap_fraction;
-  } else {
-    treatment = make_policy(config.treatment_policy);
-  }
+  // Resolve the arm policies once, up front — unknown names and
+  // out-of-range parameters throw (with the registered alternatives
+  // listed) before any simulation work.
+  const TreatmentPolicy control = make_policy(config.control_policy);
+  const TreatmentPolicy treatment = make_policy(config.treatment_policy);
 
   // Arrival stream: block-buffered over the same xoshiro256** sequence as
   // stats::Rng(seed) — bit-identical draws by the BatchedRng contract, but

@@ -43,23 +43,18 @@ struct ClusterConfig {
   SessionParams session;
   DeviceMix devices;
 
-  /// Canonical treatment level: multiply each session's bitrate ceiling
-  /// by this factor (resolution preserved, top encodes removed). 0.75
-  /// yields roughly the ~25% traffic reduction the capping program
-  /// measured, after ladder rounding. Only consulted when
-  /// `treatment_policy` is empty (below).
-  double cap_fraction = 0.75;
-
   /// Named treatment policies (video/policy.h): what landing in the
   /// control or treatment arm does to an admitted session — ladder
   /// transform + ABR strategy. Resolved once per run through the policy
-  /// registry; empty strings mean the paper's canonical arms:
-  /// control_policy -> "control" (device ceiling, hybrid ABR) and
-  /// treatment_policy -> "cap/<cap_fraction>". Any registered or
+  /// registry. The defaults are the paper's canonical arms: "control"
+  /// (device ceiling, hybrid ABR) against "cap/0.75", which multiplies
+  /// each session's bitrate ceiling by 0.75 (resolution preserved, top
+  /// encodes removed) for roughly the ~25% traffic reduction the capping
+  /// program measured, after ladder rounding. Any registered or
   /// parameterized policy name ("cap/0.5", "drop_top/2", "bba", "rate")
   /// turns the same cluster into a different experiment family.
-  std::string control_policy;
-  std::string treatment_policy;
+  std::string control_policy = "control";
+  std::string treatment_policy = "cap/0.75";
 
   /// Per-link probability a session is assigned to treatment.
   double treat_probability[2] = {0.95, 0.05};
@@ -109,10 +104,10 @@ struct ClusterResult {
 
 /// Validate a cluster configuration before running it. Throws
 /// std::invalid_argument naming the offending field (device fractions
-/// must sum to 1, probabilities must lie in [0, 1], cap_fraction in
-/// (0, 1], horizon/tick/rates positive) instead of silently producing a
-/// skewed world. Policy names are resolved (and thus validated) by
-/// run_paired_links itself.
+/// must sum to 1, probabilities must lie in [0, 1], horizon/tick/rates
+/// positive) instead of silently producing a skewed world. Policy names
+/// (and their parameters, such as a cap fraction) are resolved, and thus
+/// validated, by run_paired_links itself.
 void validate(const ClusterConfig& config);
 
 /// The treated fraction the design intends (the SRM guardrail's null):

@@ -4,7 +4,7 @@
 // links lose capacity or go dark, demand surges past the forecast, and
 // client telemetry arrives late, truncated, or not at all. The estimators
 // in core/ must not silently mislead in that regime, so the cluster can
-// replay *named, seed-pure* fault plans: every fault is a deterministic
+// replay *seed-pure* fault plans: every fault is a deterministic
 // function of (plan, config seed) — no wall clocks, no extra draws from
 // the arrival RNG stream — so a faulted world is exactly as reproducible
 // as a clean one, and an empty plan leaves the simulation bit-for-bit
@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace xp::video {
@@ -57,10 +56,9 @@ struct TelemetryFault {
   double corrupt_probability = 0.0;
 };
 
-/// A named bundle of fault events. Default-constructed plans are empty
+/// A bundle of fault events. Default-constructed plans are empty
 /// and change nothing: the cluster's no-fault path stays bit-identical.
 struct FaultPlan {
-  std::string name;  ///< label for manifests and error messages
   std::vector<LinkFault> link_faults;
   std::vector<DemandFault> demand_faults;
   TelemetryFault telemetry;

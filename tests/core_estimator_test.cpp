@@ -154,27 +154,6 @@ TEST_F(EstimatorPipeline, EveryEstimatorIsBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST_F(EstimatorPipeline, SerialEstimateMatchesThePipelineTable) {
-  // The documented contract: Estimator::estimate with the pipeline's
-  // estimator_seed reproduces the fanned-out table exactly.
-  const lab::ExperimentSpec spec = smoke_spec();
-  for (const char* key : {"paired_link/tte", "quantile/ladder"}) {
-    SCOPED_TRACE(key);
-    const auto it = std::find(spec.estimators.begin(),
-                              spec.estimators.end(), key);
-    ASSERT_NE(it, spec.estimators.end());
-    const auto e =
-        static_cast<std::size_t>(it - spec.estimators.begin());
-    const auto estimator = core::make_estimator(key);
-    core::EstimatorOptions options;
-    options.analysis = spec.analysis;
-    options.seed = lab::estimator_seed(spec.seed, e);
-    expect_estimates_identical(
-        serial_report().estimates[e],
-        estimator->estimate(serial_report(), options));
-  }
-}
-
 TEST_F(EstimatorPipeline, PairedWeekProducesTheHeadlineRows) {
   const lab::ExperimentReport& report = serial_report();
 

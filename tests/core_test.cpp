@@ -183,9 +183,7 @@ using World = std::vector<Observation> (*)(double p, std::uint64_t seed);
 
 class SyntheticWorld final : public lab::DataSource {
  public:
-  SyntheticWorld(std::string name, World world)
-      : name_(std::move(name)), world_(world) {}
-  std::string_view name() const noexcept override { return name_; }
+  explicit SyntheticWorld(World world) : world_(world) {}
   double default_allocation() const noexcept override { return 0.5; }
   lab::ObservationTable run(double p, std::uint64_t seed,
                             util::Runner&) const override {
@@ -195,7 +193,6 @@ class SyntheticWorld final : public lab::DataSource {
   }
 
  private:
-  std::string name_;
   World world_;
 };
 
@@ -247,8 +244,8 @@ constexpr std::size_t kRampWorlds = 8;
 EstimateTable gradual_ramp(const char* scenario) {
   static const bool registered = [] {
     const auto add = [](const char* name, World world) {
-      lab::register_scenario(name, [name, world](const lab::SourceOptions&) {
-        return std::make_unique<SyntheticWorld>(name, world);
+      lab::register_scenario(name, [world](const lab::SourceOptions&) {
+        return std::make_unique<SyntheticWorld>(world);
       });
     };
     add("test/sutva_world", sutva_draw);

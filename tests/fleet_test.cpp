@@ -174,7 +174,6 @@ TEST(FleetStreaming, SinkPathMatchesRecordPathBitForBit) {
   config.days = 0.1;
   config.seed = 321;
   // Exercise the per-record telemetry fate in the emit path too.
-  config.faults.name = "lossy";
   config.faults.telemetry.drop_probability = 0.05;
   config.faults.telemetry.corrupt_probability = 0.03;
 

@@ -3,6 +3,7 @@
 // Section 4 findings; sweep the lab world through the gradual-deployment
 // estimator; exercise the emulated switchback/event-study designs.
 #include <cmath>
+#include <span>
 #include <gtest/gtest.h>
 
 #include "core/analysis.h"
@@ -35,6 +36,31 @@ const video::ClusterResult& experiment_run() {
 /// One metric column of the shared run, as the designs consume it.
 std::vector<core::Observation> column(core::Metric metric) {
   return core::select(experiment_run().sessions, metric);
+}
+
+// The paired design's reads, from the building blocks the paired_link/*
+// estimators use. Each contrast's control arm is the link-1 control cell,
+// so both are normalized by the global control condition.
+core::EffectEstimate tte(std::span<const core::Observation> rows) {
+  return core::hourly_fe_analysis(core::tte_contrast(rows));
+}
+
+core::EffectEstimate spillover(std::span<const core::Observation> rows) {
+  core::RowFilter exposed;
+  exposed.link = core::kMostlyTreatedLink;
+  exposed.treated = 0;
+  core::RowFilter control;
+  control.link = core::kMostlyControlLink;
+  control.treated = 0;
+  return core::hourly_fe_analysis(
+      core::cross_cell_contrast(rows, exposed, control));
+}
+
+double cell_mean(std::span<const core::Observation> rows, int link,
+                 bool treated) {
+  core::RowFilter filter;
+  filter.link = link;
+  return core::arm_mean(core::select(rows, filter), treated);
 }
 
 TEST(PairedLinkWorld, ProducesBalancedLinks) {
@@ -75,40 +101,39 @@ TEST(PairedLinkWorld, CappedLinkLessCongested) {
 }
 
 TEST(PairedLinkAnalysis, SmokingGunStructure) {
-  const core::PairedLinkReport report =
-      core::analyze_paired_link(column(core::Metric::kMinRtt));
+  const auto rows = column(core::Metric::kMinRtt);
   // Within-link (naive) differences are tiny compared to the cross-link
   // (TTE) difference: treatment and control share the queue.
-  const double within0 = std::fabs(report.cell_mean[0][1] -
-                                   report.cell_mean[0][0]);
-  const double within1 = std::fabs(report.cell_mean[1][1] -
-                                   report.cell_mean[1][0]);
-  const double across = std::fabs(report.cell_mean[0][1] -
-                                  report.cell_mean[1][0]);
+  const double within0 =
+      std::fabs(cell_mean(rows, 0, true) - cell_mean(rows, 0, false));
+  const double within1 =
+      std::fabs(cell_mean(rows, 1, true) - cell_mean(rows, 1, false));
+  const double across =
+      std::fabs(cell_mean(rows, 0, true) - cell_mean(rows, 1, false));
   EXPECT_LT(within0, 0.25 * across);
   EXPECT_LT(within1, 0.25 * across);
   // TTE: capping improves (reduces) min RTT by a large margin. (With only
   // two days of data the conservative hourly Newey-West intervals may not
   // clear 95% significance; the five-day benchmark run does.)
-  EXPECT_LT(report.tte.relative(), -0.15);
+  EXPECT_LT(tte(rows).relative(), -0.15);
   // Spillover: uncapped traffic on the capped link also improves.
-  EXPECT_LT(report.spillover.estimate, 0.0);
+  EXPECT_LT(spillover(rows).estimate, 0.0);
 }
 
 TEST(PairedLinkAnalysis, BitrateDropsRoughlyAQuarter) {
-  const auto report =
-      core::analyze_paired_link(column(core::Metric::kBitrate));
-  EXPECT_LT(report.tte.relative(), -0.15);
-  EXPECT_GT(report.tte.relative(), -0.45);
+  const core::EffectEstimate effect = tte(column(core::Metric::kBitrate));
+  EXPECT_LT(effect.relative(), -0.15);
+  EXPECT_GT(effect.relative(), -0.45);
 }
 
 TEST(PairedLinkAnalysis, AllMetricsProduceFiniteEstimates) {
   for (core::Metric metric : core::kAllMetrics) {
-    const auto report = core::analyze_paired_link(column(metric));
-    EXPECT_TRUE(std::isfinite(report.tte.estimate)) << metric_name(metric);
-    EXPECT_TRUE(std::isfinite(report.spillover.std_error))
+    const auto rows = column(metric);
+    const core::EffectEstimate effect = tte(rows);
+    EXPECT_TRUE(std::isfinite(effect.estimate)) << metric_name(metric);
+    EXPECT_TRUE(std::isfinite(spillover(rows).std_error))
         << metric_name(metric);
-    EXPECT_LE(report.tte.ci_low, report.tte.ci_high);
+    EXPECT_LE(effect.ci_low, effect.ci_high);
   }
 }
 
@@ -124,12 +149,11 @@ TEST(SelectAdapter, FiltersAndRelabels) {
 
 TEST(Switchback, EstimatesTteCloseToPairedLink) {
   const auto min_rtt = column(core::Metric::kMinRtt);
-  const auto paired = core::analyze_paired_link(min_rtt);
-  const auto tte = core::hourly_fe_analysis(
+  const auto switchback = core::hourly_fe_analysis(
       core::switchback_observations(min_rtt, {true, false}));  // 2-day run
   // Same sign; magnitudes comparable (wide tolerance: 1 day per arm).
-  EXPECT_LT(tte.estimate, 0.0);
-  EXPECT_NEAR(tte.relative(), paired.tte.relative(), 0.35);
+  EXPECT_LT(switchback.estimate, 0.0);
+  EXPECT_NEAR(switchback.relative(), tte(min_rtt).relative(), 0.35);
 }
 
 TEST(Switchback, RequiresAssignment) {

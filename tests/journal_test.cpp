@@ -48,9 +48,6 @@ std::atomic<std::uint64_t>& source_runs() {
 /// aggregates, and a time series.
 class JournalWorld final : public lab::DataSource {
  public:
-  std::string_view name() const noexcept override {
-    return "journal_test/world";
-  }
   double default_allocation() const noexcept override { return 0.5; }
 
   lab::ObservationTable run(double allocation, std::uint64_t seed,

@@ -384,11 +384,19 @@ TEST(ClusterValidation, BadFieldsAreNamedInTheError) {
   bad_devices.devices.mobile_fraction = 0.6;  // 0.6 + 0.4 + 0.2 != 1
   expect_rejects(bad_devices, "devices");
 
-  video::ClusterConfig bad_cap;
-  bad_cap.cap_fraction = 0.0;
-  expect_rejects(bad_cap, "cap_fraction");
-  bad_cap.cap_fraction = 1.5;
-  expect_rejects(bad_cap, "cap_fraction");
+  // A cap fraction is a policy parameter: run_paired_links rejects one
+  // outside (0, 1] when it resolves the policy name, before simulating.
+  for (const char* policy : {"cap/0", "cap/1.5"}) {
+    video::ClusterConfig bad_cap;
+    bad_cap.treatment_policy = policy;
+    try {
+      video::run_paired_links(bad_cap);
+      FAIL() << "expected rejection of " << policy;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("cap fraction"), std::string::npos)
+          << e.what();
+    }
+  }
 
   video::ClusterConfig bad_treat;
   bad_treat.treat_probability[1] = 1.2;
