@@ -1,6 +1,7 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 namespace xp::sim {
@@ -23,18 +24,53 @@ void EventQueue::release_slot(std::uint32_t slot) noexcept {
   free_head_ = slot;
 }
 
-EventId EventQueue::schedule(Time at, Callback&& callback) {
+std::uint32_t EventQueue::next_seq() noexcept {
   const std::uint32_t seq = next_seq_;
   next_seq_ = next_seq_ + 1 == 0 ? 1 : next_seq_ + 1;
+  return seq;
+}
+
+void EventQueue::push_entry(const Entry& e) {
+  heap_.push_back(e);
+  sift_up(heap_.size() - 1);
+  ++heap_live_;
+}
+
+EventId EventQueue::schedule(Time at, Callback&& callback) {
+  const std::uint32_t seq = next_seq();
   const std::uint32_t slot = acquire_slot();
   Slot& s = slots_[slot];
   s.callback = std::move(callback);
   s.live_seq = seq;
-  heap_.push_back(Entry{at, seq, slot});
-  sift_up(heap_.size() - 1);
+  push_entry(Entry{at, seq, slot});
   ++live_;
   ++scheduled_;
   return pack(seq, slot);
+}
+
+LaneId EventQueue::add_lane() {
+  lanes_.emplace_back();
+  return static_cast<LaneId>(lanes_.size() - 1);
+}
+
+void EventQueue::schedule(LaneId id, Time at, Callback&& callback) {
+  Lane& lane = lanes_[id];
+  // One compare, kept in Release: a lane's FIFO order is its heap order
+  // only while its times never decrease.
+  if (at < lane.last_at) {
+    throw std::logic_error("EventQueue: lane event scheduled before the "
+                           "lane's previous event");
+  }
+  LaneEvent& event = lane.events.push_back();
+  lane.last_at = at;
+  event.at = at;
+  event.seq = next_seq();
+  event.callback = std::move(callback);
+  if (lane.events.size() == 1) {
+    push_entry(Entry{at, event.seq, kLaneTag | id});
+  }
+  ++live_;
+  ++scheduled_;
 }
 
 void EventQueue::cancel(EventId id) noexcept {
@@ -46,16 +82,20 @@ void EventQueue::cancel(EventId id) noexcept {
   slots_[slot].callback.reset();
   release_slot(slot);
   --live_;
+  --heap_live_;
   // The heap entry remains as a stale-seq tombstone; it is dropped for
   // free when it reaches the top, or swept wholesale by compact() if
-  // tombstones ever outnumber live events.
-  if (heap_.size() >= 64 && heap_.size() - live_ > live_) compact();
+  // tombstones ever outnumber the live heap entries. (Lane-queued events
+  // are live but hold no heap entry, so live_ is the wrong yardstick.)
+  if (heap_.size() >= 64 && heap_.size() - heap_live_ > heap_live_) {
+    compact();
+  }
 }
 
 void EventQueue::compact() noexcept {
   std::size_t w = 0;
   for (const Entry& e : heap_) {
-    if (slots_[e.slot].live_seq == e.seq) heap_[w++] = e;
+    if (is_live(e)) heap_[w++] = e;
   }
   heap_.resize(w);
   if (w > 1) {
@@ -99,9 +139,7 @@ void EventQueue::pop_top() noexcept {
 }
 
 void EventQueue::drop_dead_top() noexcept {
-  while (!heap_.empty() && slots_[heap_[0].slot].live_seq != heap_[0].seq) {
-    pop_top();
-  }
+  while (!heap_.empty() && !is_live(heap_[0])) pop_top();
 }
 
 Time EventQueue::next_time() noexcept {
@@ -109,26 +147,29 @@ Time EventQueue::next_time() noexcept {
   return heap_.empty() ? kNoTime : heap_[0].at;
 }
 
-std::optional<EventQueue::Fired> EventQueue::try_pop() {
-  drop_dead_top();
-  if (heap_.empty()) return std::nullopt;
-  const Entry top = heap_[0];
-  std::optional<Fired> fired(std::in_place, top.at, pack(top.seq, top.slot),
-                             std::move(slots_[top.slot].callback));
-  release_slot(top.slot);
-  --live_;
-  pop_top();
-  return fired;
-}
-
 bool EventQueue::pop_until(Time limit, Time& at_out, Callback& out) {
   drop_dead_top();
   if (heap_.empty() || heap_[0].at > limit) return false;
   const Entry top = heap_[0];
   at_out = top.at;
-  out = std::move(slots_[top.slot].callback);
-  release_slot(top.slot);
   --live_;
+  if ((top.slot & kLaneTag) != 0) {
+    Ring<LaneEvent>& events = lanes_[top.slot & ~kLaneTag].events;
+    out = std::move(events.front().callback);
+    events.pop_front();
+    if (!events.empty()) {
+      // The lane's next event takes the root: one sift instead of a pop
+      // plus a push.
+      const LaneEvent& next = events.front();
+      heap_[0] = Entry{next.at, next.seq, top.slot};
+      sift_down(0);
+      return true;
+    }
+  } else {
+    out = std::move(slots_[top.slot].callback);
+    release_slot(top.slot);
+  }
+  --heap_live_;
   pop_top();
   return true;
 }

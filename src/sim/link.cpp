@@ -9,6 +9,7 @@ Link::Link(Simulator& sim, Bps rate, Time propagation_delay,
     : sim_(sim),
       rate_(rate),
       propagation_delay_(propagation_delay),
+      propagation_lane_(sim.add_lane()),
       queue_(queue_capacity_bytes),
       name_(std::move(name)),
       created_at_(sim.now()) {}
@@ -33,7 +34,7 @@ void Link::start_transmission() {
 void Link::on_serialized(Packet packet) {
   // Propagation: delivery lands prop_delay after the last bit leaves.
   if (sink_) {
-    sim_.schedule_in(propagation_delay_,
+    sim_.schedule_in(propagation_lane_, propagation_delay_,
                      [this, packet]() { sink_(packet); });
   }
   ++delivered_;

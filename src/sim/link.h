@@ -48,6 +48,7 @@ class Link {
   Simulator& sim_;
   Bps rate_;
   Time propagation_delay_;
+  LaneId propagation_lane_;  // delivery times rise with send order
   DropTailQueue queue_;
   std::string name_;
   DeliverFn sink_;

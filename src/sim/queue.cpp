@@ -4,15 +4,6 @@
 
 namespace xp::sim {
 
-void DropTailQueue::grow() {
-  std::vector<Packet> bigger(ring_.size() * 2);
-  for (std::size_t i = 0; i < count_; ++i) {
-    bigger[i] = ring_[(head_ + i) & (ring_.size() - 1)];
-  }
-  ring_ = std::move(bigger);
-  head_ = 0;
-}
-
 bool DropTailQueue::enqueue(const Packet& packet) {
   if (bytes_ + packet.size_bytes > capacity_bytes_) {
     ++drops_;
@@ -20,9 +11,7 @@ bool DropTailQueue::enqueue(const Packet& packet) {
     if (on_drop_) on_drop_(packet);
     return false;
   }
-  if (count_ == ring_.size()) grow();
-  ring_[(head_ + count_) & (ring_.size() - 1)] = packet;
-  ++count_;
+  ring_.push_back() = packet;
   bytes_ += packet.size_bytes;
   ++enqueued_;
   max_bytes_seen_ = std::max(max_bytes_seen_, bytes_);
@@ -30,10 +19,9 @@ bool DropTailQueue::enqueue(const Packet& packet) {
 }
 
 std::optional<Packet> DropTailQueue::dequeue() {
-  if (count_ == 0) return std::nullopt;
-  const Packet& p = ring_[head_];
-  head_ = (head_ + 1) & (ring_.size() - 1);
-  --count_;
+  if (ring_.empty()) return std::nullopt;
+  const Packet p = ring_.front();
+  ring_.pop_front();
   bytes_ -= p.size_bytes;
   return p;
 }

@@ -7,9 +7,9 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <vector>
 
 #include "sim/packet.h"
+#include "sim/ring.h"
 
 namespace xp::sim {
 
@@ -25,8 +25,8 @@ class DropTailQueue {
   /// Dequeue the head packet, if any.
   std::optional<Packet> dequeue();
 
-  bool empty() const noexcept { return count_ == 0; }
-  std::size_t packet_count() const noexcept { return count_; }
+  bool empty() const noexcept { return ring_.empty(); }
+  std::size_t packet_count() const noexcept { return ring_.size(); }
   std::uint64_t byte_count() const noexcept { return bytes_; }
   std::uint64_t capacity_bytes() const noexcept { return capacity_bytes_; }
 
@@ -41,14 +41,8 @@ class DropTailQueue {
   }
 
  private:
-  void grow();
-
-  // Power-of-two ring buffer: steady-state enqueue/dequeue never allocates
-  // (std::deque cycles block allocations under sustained load).
   std::uint64_t capacity_bytes_;
-  std::vector<Packet> ring_ = std::vector<Packet>(64);
-  std::size_t head_ = 0;   // index of the oldest packet
-  std::size_t count_ = 0;  // packets currently queued
+  Ring<Packet> ring_{64};
   std::uint64_t bytes_ = 0;
   std::uint64_t drops_ = 0;
   std::uint64_t dropped_bytes_ = 0;

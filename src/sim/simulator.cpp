@@ -16,6 +16,11 @@ EventId Simulator::schedule_in(Time delay, Callback&& callback) {
   return queue_.schedule(now_ + delay, std::move(callback));
 }
 
+void Simulator::schedule_in(LaneId lane, Time delay, Callback&& callback) {
+  if (delay < 0.0) delay = 0.0;
+  queue_.schedule(lane, now_ + delay, std::move(callback));
+}
+
 void Simulator::run_until(Time until) {
   Time at = 0.0;
   Callback callback;

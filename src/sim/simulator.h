@@ -27,6 +27,15 @@ class Simulator {
   EventId schedule_in(Time delay, Callback&& callback);
   void cancel(EventId id) { queue_.cancel(id); }
 
+  /// Open a FIFO lane for a constant-delay event stream (a propagation
+  /// pipe, a reverse ACK path). Lane events skip the heap sift but keep
+  /// the exact order schedule_in would give them; see EventQueue.
+  LaneId add_lane() { return queue_.add_lane(); }
+  /// Schedule `delay` seconds from now on `lane` (negative delays clamp to
+  /// zero). Not cancellable; throws std::logic_error if the time is
+  /// earlier than the lane's previous event.
+  void schedule_in(LaneId lane, Time delay, Callback&& callback);
+
   /// Run until the queue drains or the clock passes `until`.
   /// Events at exactly `until` are executed.
   void run_until(Time until);

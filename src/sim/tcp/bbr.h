@@ -25,7 +25,6 @@ class BbrCc final : public CongestionControl {
   double cwnd_bytes() const override;
   double pacing_rate_bps(double srtt_s) const override;
   bool must_pace() const override { return true; }
-  std::string_view name() const override { return "bbr"; }
 
   enum class State { kStartup, kDrain, kProbeBw, kProbeRtt };
   State state() const noexcept { return state_; }

@@ -1,21 +1,12 @@
 #include "sim/tcp/congestion_control.h"
 
 #include <stdexcept>
-#include <string>
 
 #include "sim/tcp/bbr.h"
 #include "sim/tcp/cubic.h"
 #include "sim/tcp/reno.h"
 
 namespace xp::sim {
-
-CcAlgorithm parse_cc_algorithm(std::string_view name) {
-  if (name == "reno") return CcAlgorithm::kReno;
-  if (name == "cubic") return CcAlgorithm::kCubic;
-  if (name == "bbr") return CcAlgorithm::kBbr;
-  throw std::invalid_argument("unknown congestion control: " +
-                              std::string(name));
-}
 
 std::unique_ptr<CongestionControl> make_congestion_control(
     CcAlgorithm algorithm, const CcConfig& config) {

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string_view>
 
 #include "sim/types.h"
 
@@ -29,9 +28,6 @@ struct AckSample {
 };
 
 enum class CcAlgorithm { kReno, kCubic, kBbr };
-
-/// Parse "reno" / "cubic" / "bbr" (case-sensitive). Throws on unknown names.
-CcAlgorithm parse_cc_algorithm(std::string_view name);
 
 class CongestionControl {
  public:
@@ -54,8 +50,6 @@ class CongestionControl {
 
   /// True when the algorithm is rate-based and requires pacing (BBR).
   virtual bool must_pace() const { return false; }
-
-  virtual std::string_view name() const = 0;
 };
 
 struct CcConfig {

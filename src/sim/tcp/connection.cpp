@@ -52,7 +52,8 @@ TcpConnection::TcpConnection(Simulator& sim, const ConnectionConfig& config,
     : sim_(sim),
       config_(config),
       transmit_(std::move(transmit)),
-      rtt_(config.min_rto) {
+      rtt_(config.min_rto),
+      ack_lane_(sim.add_lane()) {
   CcConfig cc_config;
   cc_config.mss_bytes = config.mss_bytes;
   cc_config.initial_cwnd_packets = config.initial_cwnd_packets;
@@ -361,7 +362,7 @@ void TcpConnection::emit_ack(const Packet& trigger) {
     ack.sack[ack.sack_count++] = SackRange{it->first, it->second};
   }
 
-  sim_.schedule_in(config_.reverse_delay,
+  sim_.schedule_in(ack_lane_, config_.reverse_delay,
                    [this, ack]() { on_ack_at_sender(ack); });
 }
 

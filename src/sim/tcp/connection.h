@@ -171,6 +171,8 @@ class TcpConnection {
   /// True when the receiver has already seen this segment.
   bool receiver_has(std::uint64_t seq) const;
 
+  /// Reverse ACK path: a constant delay, so ACKs arrive in emission order.
+  LaneId ack_lane_;
   std::uint64_t rcv_nxt_ = 0;
   /// Out-of-order data held by the receiver, as merged [start, end) ranges.
   std::map<std::uint64_t, std::uint64_t> rcv_ranges_;

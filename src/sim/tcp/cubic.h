@@ -16,7 +16,6 @@ class CubicCc final : public CongestionControl {
   void on_timeout(Time now) override;
   double cwnd_bytes() const override { return cwnd_; }
   double pacing_rate_bps(double srtt_s) const override;
-  std::string_view name() const override { return "cubic"; }
 
   bool in_slow_start() const noexcept { return cwnd_ < ssthresh_; }
 

@@ -19,7 +19,6 @@ class RenoCc final : public CongestionControl {
   void on_timeout(Time now) override;
   double cwnd_bytes() const override { return cwnd_; }
   double pacing_rate_bps(double srtt_s) const override;
-  std::string_view name() const override { return "reno"; }
 
   bool in_slow_start() const noexcept { return cwnd_ < ssthresh_; }
   double ssthresh_bytes() const noexcept { return ssthresh_; }

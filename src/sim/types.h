@@ -16,11 +16,11 @@ using Time = double;
 /// Bits per second.
 using Bps = double;
 
-/// Monotone event sequence number (total order tiebreak within a timestamp).
-using EventSeq = std::uint64_t;
-
 /// Handle for cancelling a scheduled event.
 using EventId = std::uint64_t;
+
+/// Index of a FIFO lane for constant-delay events (see EventQueue).
+using LaneId = std::uint32_t;
 
 /// Flow identifier, unique per TCP connection in a scenario.
 using FlowId = std::uint32_t;

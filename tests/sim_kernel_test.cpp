@@ -2,6 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -12,13 +17,30 @@
 namespace xp::sim {
 namespace {
 
+constexpr Time kForever = std::numeric_limits<Time>::infinity();
+
+/// Pop and run the earliest live event; false when none remain.
+bool fire_next(EventQueue& q) {
+  Time at = 0.0;
+  EventQueue::Callback callback;
+  if (!q.pop_until(kForever, at, callback)) return false;
+  callback();
+  return true;
+}
+
+/// Run every live event in order.
+void fire_all(EventQueue& q) {
+  while (fire_next(q)) {
+  }
+}
+
 TEST(EventQueue, OrdersByTime) {
   EventQueue q;
   std::vector<int> fired;
   q.schedule(2.0, [&] { fired.push_back(2); });
   q.schedule(1.0, [&] { fired.push_back(1); });
   q.schedule(3.0, [&] { fired.push_back(3); });
-  while (!q.empty()) q.try_pop()->callback();
+  fire_all(q);
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
 
@@ -28,7 +50,7 @@ TEST(EventQueue, FifoWithinTimestamp) {
   for (int i = 0; i < 5; ++i) {
     q.schedule(1.0, [&fired, i] { fired.push_back(i); });
   }
-  while (!q.empty()) q.try_pop()->callback();
+  fire_all(q);
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
@@ -39,7 +61,7 @@ TEST(EventQueue, CancelSkipsEvent) {
   const EventId id = q.schedule(2.0, [&] { fired.push_back(2); });
   q.schedule(3.0, [&] { fired.push_back(3); });
   q.cancel(id);
-  while (!q.empty()) q.try_pop()->callback();
+  fire_all(q);
   EXPECT_EQ(fired, (std::vector<int>{1, 3}));
 }
 
@@ -50,7 +72,7 @@ TEST(EventQueue, CancelAllMakesEmpty) {
   q.cancel(a);
   q.cancel(b);
   EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(q.try_pop().has_value());
+  EXPECT_FALSE(fire_next(q));
 }
 
 TEST(EventQueue, CancelUnknownIsNoOp) {
@@ -77,7 +99,7 @@ TEST(EventQueue, FifoSurvivesInterleavedCancel) {
   }
   q.cancel(ids[1]);
   q.cancel(ids[4]);
-  while (!q.empty()) q.try_pop()->callback();
+  fire_all(q);
   EXPECT_EQ(fired, (std::vector<int>{0, 2, 3, 5}));
 }
 
@@ -87,10 +109,10 @@ TEST(EventQueue, CancelAfterFireIsNoOpEvenWithSlotReuse) {
   EventQueue q;
   std::vector<int> fired;
   const EventId a = q.schedule(1.0, [&] { fired.push_back(1); });
-  q.try_pop()->callback();                                   // fire a
-  q.schedule(2.0, [&] { fired.push_back(2); });              // reuses a's slot
-  q.cancel(a);                                               // stale handle
-  while (!q.empty()) q.try_pop()->callback();
+  EXPECT_TRUE(fire_next(q));                     // fire a
+  q.schedule(2.0, [&] { fired.push_back(2); });  // reuses a's slot
+  q.cancel(a);                                   // stale handle
+  fire_all(q);
   EXPECT_EQ(fired, (std::vector<int>{1, 2}));
 }
 
@@ -102,7 +124,7 @@ TEST(EventQueue, CancelRescheduleCycleKeepsHandlesDistinct) {
   const EventId b = q.schedule(1.0, [&] { fired.push_back(2); });
   q.cancel(a);  // double-cancel of the stale handle: must not touch b
   EXPECT_NE(a, b);
-  while (!q.empty()) q.try_pop()->callback();
+  fire_all(q);
   EXPECT_EQ(fired, (std::vector<int>{2}));
 }
 
@@ -112,7 +134,7 @@ TEST(EventQueue, CancelAfterFireDoesNotAccumulateState) {
   EventQueue q;
   for (int i = 0; i < 10000; ++i) {
     const EventId id = q.schedule(static_cast<Time>(i), [] {});
-    q.try_pop()->callback();
+    EXPECT_TRUE(fire_next(q));
     q.cancel(id);
   }
   EXPECT_EQ(q.size(), 0u);
@@ -132,6 +154,32 @@ TEST(EventQueue, FarFutureCancelChurnStaysBounded) {
   EXPECT_EQ(q.live_count(), 1u);
 }
 
+TEST(EventQueue, FarFutureCancelChurnStaysBoundedBesideALane) {
+  // Lane-queued events are live but hold no heap entry (only the lane's
+  // head does), so compaction must weigh tombstones against the live heap
+  // entries, not against every live event.
+  EventQueue q;
+  const LaneId lane = q.add_lane();
+  q.schedule(1.0, [] {});
+  for (int i = 0; i < 1000; ++i) q.schedule(lane, 2.0 + i, [] {});
+  for (int i = 0; i < 100000; ++i) {
+    q.cancel(q.schedule(1e9 + i, [] {}));
+  }
+  EXPECT_LT(q.size(), 1100u);
+  EXPECT_EQ(q.live_count(), 1001u);
+  int fired = 0;
+  Time at = 0.0;
+  EventQueue::Callback callback;
+  Time last = 0.0;
+  while (q.pop_until(kForever, at, callback)) {
+    EXPECT_GE(at, last);
+    last = at;
+    ++fired;
+  }
+  EXPECT_EQ(fired, 1001);
+  EXPECT_EQ(q.size(), 0u);
+}
+
 TEST(EventQueue, ZeroIsNeverAValidHandle) {
   EventQueue q;
   q.schedule(1.0, [] {});
@@ -145,7 +193,7 @@ TEST(EventQueue, LargeCallableFallsBackToHeapAndFires) {
   big[63] = 7.0;
   double observed = 0.0;
   q.schedule(1.0, [big, &observed] { observed = big[63]; });
-  q.try_pop()->callback();
+  EXPECT_TRUE(fire_next(q));
   EXPECT_DOUBLE_EQ(observed, 7.0);
 }
 
@@ -160,9 +208,105 @@ TEST(EventQueue, EqualTimeOrderIsSchedulingOrderAcrossReuse) {
       ids.push_back(q.schedule(1.0, [&fired, i] { fired.push_back(i); }));
     }
     for (int i = 0; i < 8; i += 2) q.cancel(ids[i]);
-    while (!q.empty()) q.try_pop()->callback();
+    fire_all(q);
     EXPECT_EQ(fired, (std::vector<int>{1, 3, 5, 7}));
   }
+}
+
+TEST(EventQueue, LaneEventsPopInTheOrderTheHeapWouldGiveThem) {
+  // Reference: a twin queue takes every event through schedule(). The lane
+  // queue puts per-lane constant-delay streams on lanes instead. Times
+  // sit on a 0.5 grid so ties are common: within a lane, across lanes
+  // sharing a delay, and against heap events at equal times. Both queues
+  // must fire the same events in the same order at the same times.
+  constexpr int kSequences = 2000;
+  constexpr std::array<Time, 4> kLaneDelay{1.0, 1.0, 0.5, 0.0};
+  std::mt19937_64 engine(20240611);
+  const auto pick = [&engine](std::uint64_t n) { return engine() % n; };
+  for (int sequence = 0; sequence < kSequences; ++sequence) {
+    EventQueue laned;
+    EventQueue twin;
+    std::array<LaneId, kLaneDelay.size()> lanes{};
+    for (LaneId& lane : lanes) lane = laned.add_lane();
+    std::vector<int> fired_laned;
+    std::vector<int> fired_twin;
+    std::vector<std::pair<EventId, EventId>> handles;
+    Time now = 0.0;
+    int next_event = 0;
+    const auto pop = [&](Time limit) {
+      Time at_laned = 0.0;
+      Time at_twin = 0.0;
+      EventQueue::Callback cb_laned;
+      EventQueue::Callback cb_twin;
+      const bool got_laned = laned.pop_until(limit, at_laned, cb_laned);
+      const bool got_twin = twin.pop_until(limit, at_twin, cb_twin);
+      ASSERT_EQ(got_laned, got_twin);
+      if (!got_laned) return;
+      ASSERT_EQ(at_laned, at_twin);
+      ASSERT_GE(at_laned, now);
+      now = at_laned;
+      cb_laned();
+      cb_twin();
+    };
+    const int ops = 20 + static_cast<int>(pick(200));
+    for (int op = 0; op < ops; ++op) {
+      const std::uint64_t kind = pick(10);
+      const int id = next_event++;
+      if (kind < 4) {
+        const std::size_t k = pick(lanes.size());
+        const Time at = now + kLaneDelay[k];
+        laned.schedule(lanes[k], at, [&fired_laned, id] {
+          fired_laned.push_back(id);
+        });
+        twin.schedule(at, [&fired_twin, id] { fired_twin.push_back(id); });
+      } else if (kind < 7) {
+        const Time at = now + 0.5 * static_cast<Time>(pick(5));
+        handles.emplace_back(
+            laned.schedule(at, [&fired_laned, id] {
+              fired_laned.push_back(id);
+            }),
+            twin.schedule(at, [&fired_twin, id] { fired_twin.push_back(id); }));
+      } else if (kind < 8) {
+        if (!handles.empty()) {
+          const auto& [laned_id, twin_id] = handles[pick(handles.size())];
+          laned.cancel(laned_id);  // may be stale: a no-op on both
+          twin.cancel(twin_id);
+        }
+      } else {
+        pop(kind == 8 ? kForever : now + 0.5 * static_cast<Time>(pick(3)));
+        ASSERT_FALSE(HasFatalFailure()) << "sequence " << sequence;
+      }
+      ASSERT_EQ(laned.live_count(), twin.live_count());
+      ASSERT_EQ(laned.scheduled_count(), twin.scheduled_count());
+      ASSERT_EQ(laned.next_time(), twin.next_time());
+    }
+    while (!twin.empty() && !HasFatalFailure()) pop(kForever);
+    EXPECT_TRUE(laned.empty());
+    ASSERT_EQ(fired_laned, fired_twin) << "sequence " << sequence;
+  }
+}
+
+TEST(EventQueue, LaneTimeGoingBackwardsThrows) {
+  EventQueue q;
+  const LaneId lane = q.add_lane();
+  q.schedule(lane, 2.0, [] {});
+  q.schedule(lane, 2.0, [] {});  // equal times are fine
+  EXPECT_THROW(q.schedule(lane, 1.5, [] {}), std::logic_error);
+  EXPECT_EQ(q.live_count(), 2u);
+  fire_all(q);
+  // The bound is the lane's newest event ever, not its current contents.
+  EXPECT_THROW(q.schedule(lane, 1.9, [] {}), std::logic_error);
+  // Another lane has its own bound.
+  const LaneId other = q.add_lane();
+  q.schedule(other, 1.0, [] {});
+  EXPECT_EQ(q.live_count(), 1u);
+}
+
+TEST(Simulator, LaneDelayShrinkingThrows) {
+  Simulator sim;
+  const LaneId lane = sim.add_lane();
+  sim.schedule_in(lane, 0.5, [] {});
+  EXPECT_THROW(sim.schedule_in(lane, 0.25, [] {}), std::logic_error);
 }
 
 TEST(Simulator, ClockAdvancesToEventTimes) {
@@ -208,10 +352,14 @@ TEST(Simulator, PastSchedulingClampsToNow) {
 
 TEST(Simulator, CountsEvents) {
   Simulator sim;
-  for (int i = 0; i < 10; ++i) sim.schedule_at(i, [] {});
+  const LaneId lane = sim.add_lane();
+  for (int i = 0; i < 10; ++i) {
+    sim.schedule_at(i, [&sim, lane] { sim.schedule_in(lane, 0.25, [] {}); });
+  }
+  for (int i = 0; i < 5; ++i) sim.schedule_in(lane, 0.25, [] {});
   sim.run_until(10.0);
-  EXPECT_EQ(sim.events_executed(), 10u);
-  EXPECT_EQ(sim.events_scheduled(), 10u);
+  EXPECT_EQ(sim.events_executed(), 25u);
+  EXPECT_EQ(sim.events_scheduled(), 25u);
 }
 
 Packet make_packet(std::uint32_t size, FlowId flow = 0) {

@@ -248,18 +248,6 @@ TEST(Bbr, TimeoutCollapsesUntilDeliveryResumes) {
   EXPECT_GT(bbr.cwnd_bytes(), 4000.0 - 1.0);
 }
 
-TEST(CcFactory, ParsesNamesAndRoundTrips) {
-  EXPECT_EQ(parse_cc_algorithm("reno"), CcAlgorithm::kReno);
-  EXPECT_EQ(parse_cc_algorithm("cubic"), CcAlgorithm::kCubic);
-  EXPECT_EQ(parse_cc_algorithm("bbr"), CcAlgorithm::kBbr);
-  EXPECT_THROW(parse_cc_algorithm("vegas"), std::invalid_argument);
-  for (auto algo :
-       {CcAlgorithm::kReno, CcAlgorithm::kCubic, CcAlgorithm::kBbr}) {
-    const auto cc = make_congestion_control(algo, test_cc_config());
-    EXPECT_EQ(parse_cc_algorithm(cc->name()), algo);
-  }
-}
-
 TEST(CcFactory, BbrMustPace) {
   const auto bbr =
       make_congestion_control(CcAlgorithm::kBbr, test_cc_config());
