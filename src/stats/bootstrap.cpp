@@ -17,8 +17,11 @@ namespace {
 /// `use(offset, chunk)` a stack-chunk at a time (fill_uniform_int
 /// preserves the one-at-a-time draw order exactly), so the generator
 /// recurrence runs back to back and the consuming loop is free of it.
+/// Pinned to a cache-line boundary: this loop is nearly all of the
+/// quantile ladder's time, and unpinned its speed moved with the size of
+/// unrelated code linked ahead of it.
 template <class Use>
-void draw_indices(std::size_t n, Rng& rng, Use&& use) {
+[[gnu::aligned(64)]] void draw_indices(std::size_t n, Rng& rng, Use&& use) {
   std::uint32_t idx[256];
   for (std::size_t done = 0; done < n;) {
     const std::size_t m = std::min(std::size(idx), n - done);

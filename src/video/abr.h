@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <vector>
 
 #include "video/bitrate.h"
 
@@ -49,6 +50,18 @@ inline std::size_t abr_select_index_rungs(double top_index,
   // Linear interpolation across ladder indices.
   return static_cast<std::size_t>(std::floor(t * top_index));
 }
+
+/// Exact rung thresholds of the hybrid map above: entry k (k = 0 ..
+/// top + 1) is the smallest double b with abr_select_index_rungs(
+/// top_index, config, b) >= k — -inf for k = 0, +inf where no buffer
+/// level reaches k (always for k = top + 1). The map is monotone
+/// non-decreasing in the buffer (every IEEE step in it is), so it returns
+/// k exactly when thresholds[k] <= buffer < thresholds[k + 1]: the session
+/// pool caches that interval per slot and re-runs the map only when the
+/// buffer leaves it. Found once per (policy, ladder size) by bisection
+/// over the ordered doubles, with the map itself as the oracle.
+std::vector<double> abr_rung_thresholds(double top_index,
+                                        const AbrConfig& config);
 
 /// Index of the highest rung <= `value`, floored at 0. The ladder is a
 /// dozen rungs, so a forward scan beats a binary search and its branch

@@ -47,6 +47,17 @@ void validate(const ClusterConfig& config) {
   check(config.spurious_rebuffer_per_hour[0] >= 0.0 &&
             config.spurious_rebuffer_per_hour[1] >= 0.0,
         "spurious_rebuffer_per_hour", "must be non-negative");
+  // The hybrid map divides by the cushion, and the pool's rung thresholds
+  // rely on that map being monotone in the buffer: a zero cushion at the
+  // reservoir would be 0/0, and a NaN rung index is undefined behaviour.
+  check(std::isfinite(config.abr.reservoir_seconds) &&
+            config.abr.reservoir_seconds >= 0.0,
+        "abr.reservoir_seconds", "must be finite and non-negative");
+  check(std::isfinite(config.abr.cushion_seconds) &&
+            config.abr.cushion_seconds > 0.0,
+        "abr.cushion_seconds", "must be finite and positive");
+  check(config.abr.startup_bitrate > 0.0, "abr.startup_bitrate",
+        "must be positive");
   validate(config.faults);
 }
 

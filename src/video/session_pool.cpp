@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -44,6 +45,7 @@ SessionPool::SessionPool(const SessionParams& params,
     track_rate_ |= policy.kind == AbrKind::kRate;
   }
   rate_alpha_.assign(policies_.size(), 0.0);
+  rung_thresholds_.resize(policies_.size());
   // Partition buckets: (playing | startup | rebuffering) x policy, then
   // one done bucket at the physical tail.
   const std::size_t buckets = 3 * policies_.size() + 1;
@@ -102,41 +104,51 @@ void SessionPool::repartition() {
   partition_dirty_ = false;
 }
 
+template <typename Pool, typename F>
+void SessionPool::for_each_slot_array(Pool& pool, F&& f) {
+  f(pool.identity_, "identity");
+  f(pool.state_, "state");
+  f(pool.clock_, "clock");
+  f(pool.buffer_seconds_, "buffer_seconds");
+  f(pool.bitrate_, "bitrate");
+  f(pool.quality_, "quality");
+  f(pool.startup_bytes_left_, "startup_bytes_left");
+  f(pool.played_seconds_, "played_seconds");
+  f(pool.duration_, "duration");
+  f(pool.patience_, "patience");
+  f(pool.access_rate_bps_, "access_rate_bps");
+  f(pool.sustained_cap_, "sustained_cap");
+  f(pool.rungs_, "rungs");
+  f(pool.rung_quality_, "rung_quality");
+  f(pool.rung_top_index_, "rung_top_index");
+  f(pool.policy_, "policy");
+  f(pool.rung_index_, "rung_index");
+  f(pool.rung_lo_, "rung_lo");
+  f(pool.rung_hi_, "rung_hi");
+  f(pool.ewma_rate_, "ewma_rate");
+  f(pool.delivered_bytes_, "delivered_bytes");
+  f(pool.retransmitted_bytes_, "retransmitted_bytes");
+  f(pool.hungry_bytes_, "hungry_bytes");
+  f(pool.hungry_seconds_, "hungry_seconds");
+  f(pool.min_rtt_, "min_rtt");
+  f(pool.play_delay_, "play_delay");
+  f(pool.rebuffer_seconds_, "rebuffer_seconds");
+  f(pool.rebuffer_count_, "rebuffer_count");
+  f(pool.switches_, "switches");
+  f(pool.cancelled_, "cancelled");
+  f(pool.rtt_sum_ref_, "rtt_sum_ref");
+  f(pool.rtt_ticks_ref_, "rtt_ticks_ref");
+  f(pool.played_marker_, "played_marker");
+  f(pool.bitrate_time_integral_, "bitrate_time_integral");
+  f(pool.quality_time_integral_, "quality_time_integral");
+}
+
 void SessionPool::reserve(std::size_t sessions) {
-  identity_.reserve(sessions);
-  state_.reserve(sessions);
-  clock_.reserve(sessions);
-  buffer_seconds_.reserve(sessions);
-  bitrate_.reserve(sessions);
-  quality_.reserve(sessions);
-  startup_bytes_left_.reserve(sessions);
-  played_seconds_.reserve(sessions);
-  duration_.reserve(sessions);
-  patience_.reserve(sessions);
-  access_rate_bps_.reserve(sessions);
-  sustained_cap_.reserve(sessions);
-  rungs_.reserve(sessions);
-  rung_quality_.reserve(sessions);
-  rung_top_index_.reserve(sessions);
-  policy_.reserve(sessions);
-  ewma_rate_.reserve(sessions);
-  delivered_bytes_.reserve(sessions);
-  retransmitted_bytes_.reserve(sessions);
-  hungry_bytes_.reserve(sessions);
-  hungry_seconds_.reserve(sessions);
-  min_rtt_.reserve(sessions);
-  play_delay_.reserve(sessions);
-  rebuffer_seconds_.reserve(sessions);
-  rebuffer_count_.reserve(sessions);
-  switches_.reserve(sessions);
-  cancelled_.reserve(sessions);
-  rtt_sum_ref_.reserve(sessions);
-  rtt_ticks_ref_.reserve(sessions);
-  played_marker_.reserve(sessions);
-  bitrate_time_integral_.reserve(sessions);
-  quality_time_integral_.reserve(sessions);
+  for_each_slot_array(*this, [sessions](auto& arr, const char*) {
+    arr.reserve(sessions);
+  });
   good_bytes_.reserve(sessions);
-  abr_index_.reserve(sessions);
+  sparse_slots_.reserve(sessions);
 }
 
 std::size_t SessionPool::add(const Arrival& arrival) {
@@ -176,6 +188,18 @@ std::size_t SessionPool::add(const Arrival& arrival) {
   rung_quality_.push_back(arrival.ladder->rung_quality().data());
   rung_top_index_.push_back(static_cast<double>(rungs.size() - 1));
   policy_.push_back(arrival.policy);
+  rung_index_.push_back(-1);
+  rung_lo_.push_back(std::numeric_limits<double>::infinity());
+  rung_hi_.push_back(-std::numeric_limits<double>::infinity());
+  if (policy.kind == AbrKind::kHybrid) {
+    // First session on a ladder this long: add the threshold tables up to
+    // its top index (one-off; the steady state allocates nothing).
+    auto& tables = rung_thresholds_[arrival.policy];
+    while (tables.size() < rungs.size()) {
+      tables.push_back(abr_rung_thresholds(
+          static_cast<double>(tables.size()), policy.config));
+    }
+  }
   // Optimistic first throughput estimate: the access link, refined by the
   // EWMA from the first downloading tick on (kRate policies only).
   ewma_rate_.push_back(arrival.access_rate_bps);
@@ -309,20 +333,19 @@ namespace {
 // ignores the qualifier on locals) spare the vectorizer the quadratic
 // runtime alias versioning it refuses to emit past ~10 checks. noinline
 // keeps the restrict tags from being discarded by inlining; one call per
-// tick is noise.
-[[gnu::noinline]] void playing_telemetry_pass(
+// tick is noise. Returns the number of hungry slots (downloading at or
+// below half a buffer): only those take the sparse hungry-telemetry pass.
+[[gnu::noinline]] double playing_telemetry_pass(
     const double* __restrict grant, const double* __restrict buf,
-    const double* __restrict bps, double* __restrict good,
-    double* __restrict delivered, double* __restrict retx,
-    double* __restrict hungry_b, double* __restrict hungry_s,
-    double* __restrict clock, double* __restrict mrtt,
-    std::size_t playing_end, double dt, double loss, double fixed_retx,
-    double max_buffer, double half_buffer, double rtt) noexcept {
+    double* __restrict good, double* __restrict delivered,
+    double* __restrict retx, double* __restrict clock,
+    double* __restrict mrtt, std::size_t playing_end, double dt, double loss,
+    double fixed_retx, double half_buffer, double rtt) noexcept {
   // Loss consumes goodput: of the granted rate, a `loss` fraction is
   // spent on retransmissions, plus a fixed recovery overhead per played
   // second. Idle sessions (zero grant — the buffer-full steady state)
-  // contribute exact 0.0 terms, so the selects below replace the old
-  // per-slot branches without changing a single accumulator bit.
+  // contribute exact 0.0 terms, so no per-slot branch is needed.
+  double hungry = 0.0;
   // vec-check: playing-telemetry
   for (std::size_t i = 0; i < playing_end; ++i) {
     clock[i] += dt;
@@ -334,19 +357,28 @@ namespace {
     delivered[i] += g;
     retx[i] += wire * loss;
     retx[i] += fixed_retx;
-    // Throughput telemetry counts only the fraction of the tick the
-    // session could actually use (a chunk completing mid-tick must not
-    // dilute the measured rate), and drops trickle ticks near the buffer
-    // ceiling entirely. The quotient is garbage for idle slots (+inf,
-    // never NaN: room > 0); the selects discard it — exactly the old
-    // branch, as two double-armed selects so the whole body if-converts.
-    const double room = (max_buffer - buf[i] + dt) * bps[i] / 8.0;
-    const double capped = std::min(std::max(room / g, 0.0), 1.0);
-    double uf = buf[i] <= half_buffer ? capped : 0.0;
-    uf = rate > 0.0 ? uf : 0.0;
-    hungry_b[i] += wire * uf;
-    hungry_s[i] += dt * uf;
+    // Counted in a double through two double-armed selects: an integer
+    // or bool term would mix lane types into this loop and stop it
+    // vectorizing. The count is exact far past any pool size.
+    const double low = buf[i] <= half_buffer ? 1.0 : 0.0;
+    hungry += rate > 0.0 ? low : 0.0;
   }
+  return hungry;
+}
+
+// Branch-free compaction: writes every slot i in [begin, end) with
+// pred(i) to `out`, in slot order, and returns how many. Each index is
+// stored unconditionally and the cursor advances by the predicate, so a
+// rare or erratic predicate costs no mispredicted branches.
+template <typename Pred>
+std::size_t collect_slots(std::size_t begin, std::size_t end,
+                          std::uint32_t* out, Pred pred) noexcept {
+  std::size_t m = 0;
+  for (std::size_t i = begin; i < end; ++i) {
+    out[m] = static_cast<std::uint32_t>(i);
+    m += pred(i) ? 1 : 0;
+  }
+  return m;
 }
 
 }  // namespace
@@ -368,31 +400,46 @@ void SessionPool::apply_bitrate_switch(std::size_t i, double next,
   quality_[i] = quality;
 }
 
+const double* SessionPool::rung_thresholds(std::size_t p,
+                                           std::size_t i) const noexcept {
+  return rung_thresholds_[p][static_cast<std::size_t>(rung_top_index_[i])]
+      .data();
+}
+
+void SessionPool::take_rung(std::size_t i, std::size_t k) noexcept {
+  rung_index_[i] = static_cast<std::int32_t>(k);
+  const double next = rungs_[i][k];
+  if (next != bitrate_[i]) {
+    apply_bitrate_switch(i, next, rung_quality_[i][k]);
+  }
+}
+
+void SessionPool::select_hybrid(std::size_t i, const AbrConfig& config,
+                                const double* thresholds) noexcept {
+  const std::size_t k =
+      abr_select_index_rungs(rung_top_index_[i], config, buffer_seconds_[i]);
+  rung_lo_[i] = thresholds[k];
+  rung_hi_[i] = thresholds[k + 1];
+  take_rung(i, k);
+}
+
 void SessionPool::select_bitrate(std::size_t i) noexcept {
   // Scalar policy dispatch, kept for the rare off-the-fast-path selects
   // (the rebuffer re-select); the playing pass dispatches per policy
   // sub-batch instead, never per slot.
   const AbrPolicy& policy = policies_[policy_[i]];
-  std::size_t k;
   switch (policy.kind) {
     case AbrKind::kHybrid:
-      k = abr_select_index_rungs(rung_top_index_[i], policy.config,
-                                 buffer_seconds_[i]);
+      select_hybrid(i, policy.config, rung_thresholds(policy_[i], i));
       break;
     case AbrKind::kBufferBased:
-      k = bba_select_index_rungs(rungs_[i], rung_top_index_[i],
-                                 policy.config, buffer_seconds_[i]);
+      take_rung(i, bba_select_index_rungs(rungs_[i], rung_top_index_[i],
+                                          policy.config, buffer_seconds_[i]));
       break;
     case AbrKind::kRate:
-      k = rate_select_index_rungs(rungs_[i], rung_top_index_[i],
-                                  policy.rate_safety * ewma_rate_[i]);
+      take_rung(i, rate_select_index_rungs(rungs_[i], rung_top_index_[i],
+                                           policy.rate_safety * ewma_rate_[i]));
       break;
-    default:
-      return;
-  }
-  const double next = rungs_[i][k];
-  if (next != bitrate_[i]) {
-    apply_bitrate_switch(i, next, rung_quality_[i][k]);
   }
 }
 
@@ -431,7 +478,8 @@ void SessionPool::advance_all(double dt, std::span<const double> alloc,
   const std::size_t startup_end = bucket_begin_[2 * policies];
   const std::size_t alive_end = bucket_begin_[3 * policies];
   good_bytes_.resize(n);
-  abr_index_.resize(n);
+  sparse_slots_.resize(n);
+  std::uint32_t* sparse = sparse_slots_.data();
 
   // --- Phase A: wall clock + RTT floor for the non-playing alive tail
   // (the playing range gets the same update fused into Phase B below —
@@ -447,12 +495,32 @@ void SessionPool::advance_all(double dt, std::span<const double> alloc,
   }
 
   // --- Phase B: playing telemetry, branch-free over the dense range ---
-  playing_telemetry_pass(alloc.data(), buffer_seconds_.data(),
-                         bitrate_.data(), good_bytes_.data(),
-                         delivered_bytes_.data(), retransmitted_bytes_.data(),
-                         hungry_bytes_.data(), hungry_seconds_.data(),
-                         clock_.data(), min_rtt_.data(), playing_end, dt,
-                         loss, fixed_retx, max_buffer, half_buffer, rtt);
+  const double hungry = playing_telemetry_pass(
+      alloc.data(), buffer_seconds_.data(), good_bytes_.data(),
+      delivered_bytes_.data(), retransmitted_bytes_.data(), clock_.data(),
+      min_rtt_.data(), playing_end, dt, loss, fixed_retx, half_buffer, rtt);
+  // Throughput telemetry counts only the fraction of the tick the session
+  // could actually use (a chunk completing mid-tick must not dilute the
+  // measured rate), and drops trickle ticks near the buffer ceiling
+  // entirely: only a session downloading at or below half a buffer
+  // accrues it. Every other slot would add exact +0.0 terms, so only the
+  // hungry ones are visited (before Phase C, which may move the bitrate).
+  if (hungry > 0.0) {
+    const double* grant = alloc.data();
+    const double* buf = buffer_seconds_.data();
+    const std::size_t m =
+        collect_slots(0, playing_end, sparse, [&](std::size_t i) {
+          return (grant[i] > 0.0) & (buf[i] <= half_buffer);
+        });
+    for (std::size_t j = 0; j < m; ++j) {
+      const std::size_t i = sparse[j];
+      const double wire = grant[i] * dt / 8.0;
+      const double room = (max_buffer - buf[i] + dt) * bitrate_[i] / 8.0;
+      const double used = std::min(std::max(room / good_bytes_[i], 0.0), 1.0);
+      hungry_bytes_[i] += wire * used;
+      hungry_seconds_[i] += dt * used;
+    }
+  }
   // Rate-based ABR input: smooth the granted rate while downloading
   // (idle ticks keep the last estimate, like real clients). Per-policy
   // sub-ranges make the EWMA coefficient a loop constant.
@@ -480,61 +548,47 @@ void SessionPool::advance_all(double dt, std::span<const double> alloc,
     const AbrPolicy& policy = policies_[p];
     switch (policy.kind) {
       case AbrKind::kHybrid: {
-        // The buffer-to-index map is pure arithmetic (the reservoir
-        // early-out folds into the clamp: buffer <= reservoir gives
-        // t = 0 and rung 0, bit-identical to abr_select_index_rungs), so it
-        // vectorizes; the rung load is a per-slot pointer gather, which
-        // baseline SIMD has no instruction for, so it stays a scalar
-        // loop fused with the rare switch bookkeeping.
-        const double reservoir = policy.config.reservoir_seconds;
-        const double cushion = policy.config.cushion_seconds;
+        // A slot can pick a different rung only once its buffer leaves
+        // the exact interval of its cached one (an empty interval before
+        // the first pick), so the map and its divide run on those few
+        // slots alone; the rest keep their rung, as the map would.
         const double* buf = buffer_seconds_.data();
-        const double* top = rung_top_index_.data();
-        std::int32_t* idx = abr_index_.data();
-        // vec-check: abr-hybrid-index
-        for (std::size_t i = begin; i < end; ++i) {
-          double t = (buf[i] - reservoir) / cushion;
-          t = std::min(std::max(t, 0.0), 1.0);
-          idx[i] = static_cast<std::int32_t>(t * top[i]);
-        }
-        for (std::size_t i = begin; i < end; ++i) {
-          const auto k = static_cast<std::size_t>(abr_index_[i]);
-          const double next = rungs_[i][k];
-          if (next != bitrate_[i]) {
-            apply_bitrate_switch(i, next, rung_quality_[i][k]);
-          }
+        const double* lo = rung_lo_.data();
+        const double* hi = rung_hi_.data();
+        const std::size_t m =
+            collect_slots(begin, end, sparse, [&](std::size_t i) {
+              return (buf[i] < lo[i]) | (buf[i] >= hi[i]);
+            });
+        for (std::size_t j = 0; j < m; ++j) {
+          const std::size_t i = sparse[j];
+          select_hybrid(i, policy.config, rung_thresholds(p, i));
         }
         break;
       }
       case AbrKind::kBufferBased:
         for (std::size_t i = begin; i < end; ++i) {
-          const std::size_t k = bba_select_index_rungs(
-              rungs_[i], rung_top_index_[i], policy.config,
-              buffer_seconds_[i]);
-          const double next = rungs_[i][k];
-          if (next != bitrate_[i]) {
-            apply_bitrate_switch(i, next, rung_quality_[i][k]);
-          }
+          take_rung(i, bba_select_index_rungs(rungs_[i], rung_top_index_[i],
+                                              policy.config,
+                                              buffer_seconds_[i]));
         }
         break;
       case AbrKind::kRate:
         for (std::size_t i = begin; i < end; ++i) {
-          const std::size_t k =
-              rate_select_index_rungs(rungs_[i], rung_top_index_[i],
-                                      policy.rate_safety * ewma_rate_[i]);
-          const double next = rungs_[i][k];
-          if (next != bitrate_[i]) {
-            apply_bitrate_switch(i, next, rung_quality_[i][k]);
-          }
+          take_rung(i, rate_select_index_rungs(
+                           rungs_[i], rung_top_index_[i],
+                           policy.rate_safety * ewma_rate_[i]));
         }
         break;
     }
   }
 
-  // --- Phase D: buffer integration + playback over the playing range --
+  // --- Phase D: buffer integration + playback over the playing range,
+  // counting the slots that played out or ran dry.
+  double transitions = 0.0;  // a double count keeps the loop vectorized
   {
     const double* good = good_bytes_.data();
     const double* bps = bitrate_.data();
+    const double* duration = duration_.data();
     double* buf = buffer_seconds_.data();
     double* played = played_seconds_.data();
     // vec-check: playing-buffer
@@ -543,19 +597,23 @@ void SessionPool::advance_all(double dt, std::span<const double> alloc,
       level = std::min(level, max_buffer);
       buf[i] = level - dt;  // playback consumes real time
       played[i] += dt;
+      const double ended = played[i] >= duration[i] ? 1.0 : 0.0;
+      transitions += buf[i] <= 0.0 ? 1.0 : ended;
     }
   }
 
-  // --- Phase E: playing transitions (rare, predictable branches) ------
-  for (std::size_t i = 0; i < playing_end; ++i) {
+  // --- Phase E: playing transitions (rare; skipped on most ticks) ------
+  for (std::size_t i = 0; transitions > 0.0 && i < playing_end; ++i) {
     if (played_seconds_[i] >= duration_[i]) {
       set_state(i, SessionState::kDone);
       freeze_rtt(i);
+      transitions -= 1.0;
     } else if (buffer_seconds_[i] <= 0.0) {
       buffer_seconds_[i] = 0.0;
       ++rebuffer_count_[i];
       set_state(i, SessionState::kRebuffering);
       select_bitrate(i);  // ABR drops to the reservoir rate
+      transitions -= 1.0;
     }
   }
 
@@ -709,7 +767,7 @@ void SessionPool::retire_finished(
     sink(finalize(i));
     ++completed;
   }
-  truncate(alive_end);
+  if (alive_end != n) truncate(alive_end);
 }
 
 void SessionPool::flush_all(
@@ -720,78 +778,16 @@ void SessionPool::flush_all(
 }
 
 void SessionPool::swap_slots(std::size_t a, std::size_t b) noexcept {
-  const auto sw = [a, b](auto& arr) {
+  for_each_slot_array(*this, [a, b](auto& arr, const char*) {
     using std::swap;
     swap(arr[a], arr[b]);
-  };
-  sw(identity_);
-  sw(state_);
-  sw(clock_);
-  sw(buffer_seconds_);
-  sw(bitrate_);
-  sw(quality_);
-  sw(startup_bytes_left_);
-  sw(played_seconds_);
-  sw(duration_);
-  sw(patience_);
-  sw(access_rate_bps_);
-  sw(sustained_cap_);
-  sw(rungs_);
-  sw(rung_quality_);
-  sw(rung_top_index_);
-  sw(policy_);
-  sw(ewma_rate_);
-  sw(delivered_bytes_);
-  sw(retransmitted_bytes_);
-  sw(hungry_bytes_);
-  sw(hungry_seconds_);
-  sw(min_rtt_);
-  sw(play_delay_);
-  sw(rebuffer_seconds_);
-  sw(rebuffer_count_);
-  sw(switches_);
-  sw(cancelled_);
-  sw(rtt_sum_ref_);
-  sw(rtt_ticks_ref_);
-  sw(played_marker_);
-  sw(bitrate_time_integral_);
-  sw(quality_time_integral_);
+  });
 }
 
 void SessionPool::truncate(std::size_t new_size) {
-  const auto cut = [new_size](auto& arr) { arr.resize(new_size); };
-  cut(identity_);
-  cut(state_);
-  cut(clock_);
-  cut(buffer_seconds_);
-  cut(bitrate_);
-  cut(quality_);
-  cut(startup_bytes_left_);
-  cut(played_seconds_);
-  cut(duration_);
-  cut(patience_);
-  cut(access_rate_bps_);
-  cut(sustained_cap_);
-  cut(rungs_);
-  cut(rung_quality_);
-  cut(rung_top_index_);
-  cut(policy_);
-  cut(ewma_rate_);
-  cut(delivered_bytes_);
-  cut(retransmitted_bytes_);
-  cut(hungry_bytes_);
-  cut(hungry_seconds_);
-  cut(min_rtt_);
-  cut(play_delay_);
-  cut(rebuffer_seconds_);
-  cut(rebuffer_count_);
-  cut(switches_);
-  cut(cancelled_);
-  cut(rtt_sum_ref_);
-  cut(rtt_ticks_ref_);
-  cut(played_marker_);
-  cut(bitrate_time_integral_);
-  cut(quality_time_integral_);
+  for_each_slot_array(*this, [new_size](auto& arr, const char*) {
+    arr.resize(new_size);
+  });
   bucket_count_.back() = 0;
   bucket_begin_.back() = new_size;
 }
@@ -802,21 +798,9 @@ void SessionPool::check_invariants() const {
   };
   const std::size_t n = state_.size();
   const std::size_t policies = policies_.size();
-  const auto check_len = [&](std::size_t len, const char* name) {
-    if (len != n) fail(std::string("array length mismatch: ") + name);
-  };
-  check_len(identity_.size(), "identity");
-  check_len(clock_.size(), "clock");
-  check_len(buffer_seconds_.size(), "buffer_seconds");
-  check_len(bitrate_.size(), "bitrate");
-  check_len(quality_.size(), "quality");
-  check_len(rungs_.size(), "rungs");
-  check_len(rung_quality_.size(), "rung_quality");
-  check_len(rung_top_index_.size(), "rung_top_index");
-  check_len(policy_.size(), "policy");
-  check_len(rtt_sum_ref_.size(), "rtt_sum_ref");
-  check_len(rtt_ticks_ref_.size(), "rtt_ticks_ref");
-  check_len(played_marker_.size(), "played_marker");
+  for_each_slot_array(*this, [&](const auto& arr, const char* name) {
+    if (arr.size() != n) fail(std::string("array length mismatch: ") + name);
+  });
 
   // Bucket bookkeeping: eager counts must match a fresh recount, and when
   // the partition is clean the physical layout must match bucket_begin_.
@@ -863,6 +847,25 @@ void SessionPool::check_invariants() const {
     for (std::size_t r = 0; r <= top_idx; ++r) {
       if (rung_quality_[i][r] != perceptual_quality(rungs_[i][r])) {
         fail("stale per-rung quality cache");
+      }
+    }
+    // The cached ABR pick: a rung index names the current bitrate, and a
+    // hybrid slot's buffer interval is exactly that rung's table entry
+    // (the empty interval before the first pick).
+    const std::int32_t k = rung_index_[i];
+    if (k < -1 || k > static_cast<std::int32_t>(top_idx)) {
+      fail("cached rung index outside the ladder");
+    }
+    if (k >= 0 && bitrate_[i] != rungs_[i][k]) {
+      fail("cached rung index does not name the bitrate");
+    }
+    if (policies_[policy_[i]].kind == AbrKind::kHybrid) {
+      constexpr double kInf = std::numeric_limits<double>::infinity();
+      const double* thresholds = rung_thresholds(policy_[i], i);
+      const double lo = k >= 0 ? thresholds[k] : kInf;
+      const double hi = k >= 0 ? thresholds[k + 1] : -kInf;
+      if (rung_lo_[i] != lo || rung_hi_[i] != hi) {
+        fail("cached rung interval differs from the threshold table");
       }
     }
     if (played_marker_[i] > played_seconds_[i]) {

@@ -18,6 +18,18 @@
 // that moved. Retiring pops the done bucket off the tail, so the
 // steady-state tick still performs zero heap allocations.
 //
+// The playing tick also skips per-slot work that cannot change anything:
+//  * Hybrid ABR selection never divides in the common case. Each slot
+//    caches its rung index and the exact buffer interval that maps to it
+//    (abr_rung_thresholds); a tick compares the buffer with the two
+//    bounds and re-runs the map only for the few slots outside them.
+//  * The hungry-throughput telemetry (and its divide) only moves slots
+//    that are downloading at or below half a buffer; the vectorized pass
+//    counts them and a sparse second loop updates just those.
+//  * The buffer pass counts slots that played out or emptied their
+//    buffer, and the transition scan runs only when that count is
+//    non-zero.
+//
 // The session state machine (startup -> playing <-> rebuffering -> done)
 // lives here, in exactly one place: the cluster drives one pool per link,
 // and unit tests drive a pool of one session directly.
@@ -249,21 +261,38 @@ class SessionPool {
   /// state/policy bytes (and, when the partition is clean, physically
   /// grouped), cached ladder rung pointers non-null with a sane top
   /// index, policy indices inside the dispatch table, the cached
-  /// perceptual-quality snapshot matching the current bitrate, and RTT
-  /// reference snapshots within the pool's cumulative counters. Throws
+  /// perceptual-quality snapshot matching the current bitrate, the cached
+  /// rung index naming the bitrate (and a hybrid slot's buffer interval
+  /// equal to its threshold-table entry), and RTT reference snapshots
+  /// within the pool's cumulative counters. Throws
   /// std::logic_error naming the violated invariant. Debug builds run it
   /// after every advance/retire; tests call it directly in any build.
   void check_invariants() const;
 
  private:
+  /// Re-run slot i's policy on its current state and take the rung.
   void select_bitrate(std::size_t i) noexcept;
+  /// Cache rung k as slot i's selection and switch to it if its rate
+  /// differs from the current bitrate (equal rungs never count a switch).
+  void take_rung(std::size_t i, std::size_t k) noexcept;
+  /// Hybrid select: the map on the current buffer, plus the exact buffer
+  /// interval of the chosen rung from `thresholds` (the slot's table).
+  void select_hybrid(std::size_t i, const AbrConfig& config,
+                     const double* thresholds) noexcept;
+  /// Slot i's threshold table under policy p.
+  const double* rung_thresholds(std::size_t p, std::size_t i) const noexcept;
   /// `quality` must equal perceptual_quality(next) — callers pass the
   /// cached per-rung score so the switch path never recomputes it.
   void apply_bitrate_switch(std::size_t i, double next,
                             double quality) noexcept;
   /// Restore the physical bucket grouping after adds/transitions marked
-  /// it dirty. O(size) byte scan + one 31-array swap per misplaced slot.
+  /// it dirty. O(size) byte scan + one all-array swap per misplaced slot.
   void repartition();
+  /// The one list of per-slot arrays: calls f(array, name) for each, so
+  /// reserve, swap_slots, truncate and check_invariants cannot disagree
+  /// about which arrays a slot spans.
+  template <typename Pool, typename F>
+  static void for_each_slot_array(Pool& pool, F&& f);
   void swap_slots(std::size_t a, std::size_t b) noexcept;
   void truncate(std::size_t new_size);
   std::size_t bucket_of(std::size_t i) const noexcept;
@@ -279,6 +308,10 @@ class SessionPool {
   bool track_rate_ = false;
   /// Per-policy EWMA coefficient dt/(tau+dt), refreshed each advance_all.
   std::vector<double> rate_alpha_;
+  /// Hybrid policies' rung thresholds, [policy][top index] -> the
+  /// abr_rung_thresholds table, filled at add() up to the longest ladder
+  /// seen so far.
+  std::vector<std::vector<std::vector<double>>> rung_thresholds_;
 
   // Identity: only touched at add/finalize/swap, so it stays AoS.
   struct Identity {
@@ -313,6 +346,14 @@ class SessionPool {
   std::vector<const double*> rung_quality_;
   std::vector<double> rung_top_index_;
   std::vector<std::uint8_t> policy_;
+  /// Cached ABR pick: rung index (-1 until the first selection, since the
+  /// startup bitrate need not be a rung; otherwise bitrate_ ==
+  /// rungs_[rung_index_]) and, for hybrid slots, the buffer interval
+  /// [rung_lo_, rung_hi_) that maps to it — empty (+inf, -inf) while the
+  /// index is -1 and for the other strategies, which never read it.
+  std::vector<std::int32_t> rung_index_;
+  std::vector<double> rung_lo_;
+  std::vector<double> rung_hi_;
   /// Smoothed goodput estimate (b/s), maintained only when track_rate_.
   std::vector<double> ewma_rate_;
 
@@ -357,9 +398,10 @@ class SessionPool {
   std::vector<std::size_t> bucket_cursor_;  ///< repartition scratch
   bool partition_dirty_ = false;
 
-  // Tick scratch (capacity reused; the steady state allocates nothing).
+  // Tick scratch (capacity reused; the steady state allocates nothing):
+  // per-slot goodput and a list of slot indices for the sparse passes.
   std::vector<double> good_bytes_;
-  std::vector<std::int32_t> abr_index_;
+  std::vector<std::uint32_t> sparse_slots_;
 };
 
 }  // namespace xp::video

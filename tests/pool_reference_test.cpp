@@ -373,110 +373,143 @@ void expect_records_equal(const SessionRecord& a, const SessionRecord& b) {
   EXPECT_EQ(a.stability, b.stability) << "session " << a.session_id;
 }
 
+/// Drive the pool and the reference through one randomized world: Poisson
+/// arrivals on `policies` (uniformly) and the two ladders (by arm), a
+/// congested shared link, and enough ticks for startups, rebuffers,
+/// abandonments, and completions to all occur. Every per-session demand
+/// and every finalized record must match the reference bit for bit.
+void expect_pool_matches_reference(std::uint64_t seed,
+                                   const std::vector<AbrPolicy>& policies,
+                                   const BitrateLadder& uncapped,
+                                   const BitrateLadder& capped) {
+  stats::Rng world(seed);
+  SessionParams params;
+  SessionPool pool(params, policies);
+  ReferencePool ref(params, policies);
+
+  FluidLinkConfig link_config;
+  // Small enough that peak demand oversubscribes the water-fill.
+  link_config.capacity_bps = world.uniform(40e6, 80e6);
+  FluidLink link(link_config);
+
+  const double dt = 1.0;
+  const std::size_t ticks = 600;
+  std::uint64_t next_id = 0;
+  std::vector<double> demands, alloc, grant_by_id;
+  std::vector<SessionRecord> pool_records, ref_records;
+  const auto collect = [&pool_records](const SessionRecord& r) {
+    pool_records.push_back(r);
+  };
+  std::uint64_t completed = 0;
+
+  for (std::size_t t = 0; t < ticks; ++t) {
+    // Poisson arrivals, heavier early so the pool fills up.
+    const std::uint64_t arrivals = world.poisson(t < ticks / 2 ? 1.2 : 0.3);
+    for (std::uint64_t a = 0; a < arrivals; ++a) {
+      SessionPool::Arrival arrival;
+      arrival.id = next_id++;
+      arrival.account = arrival.id / 3;
+      arrival.link = 0;
+      arrival.treated = world.bernoulli(0.5);
+      arrival.start_time = static_cast<double>(t) * dt;
+      arrival.duration = world.uniform(30.0, 300.0);
+      arrival.ladder = arrival.treated ? &capped : &uncapped;
+      arrival.patience = world.uniform(4.0, 20.0);
+      arrival.access_rate_bps = world.lognormal(15.0, 0.8);
+      arrival.policy =
+          static_cast<std::uint8_t>(world.uniform_int(policies.size()));
+      pool.add(arrival);
+      ref.add(arrival);
+    }
+    grant_by_id.resize(next_id, 0.0);
+
+    // Pool demand pass; the reference must agree per session id.
+    SessionPool::DemandTotals totals;
+    pool.gather_demand(demands, totals);
+    const std::size_t n = pool.size();
+    ASSERT_EQ(demands.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t id = pool.finalize(i).session_id;
+      const RefSession* match = nullptr;
+      for (const RefSession& s : ref.sessions()) {
+        if (s.id == id) match = &s;
+      }
+      ASSERT_NE(match, nullptr) << "id " << id;
+      ASSERT_EQ(demands[i], ref.demand(*match)) << "id " << id;
+    }
+
+    // One shared allocation feeds both implementations, exactly as the
+    // cluster tick drives the pool.
+    const std::span<const double> grants = link.allocate_and_advance(
+        demands, totals.desired_load_bps, totals.demand_sum_bps,
+        totals.demand_positive, dt, alloc);
+    const double rtt = link.rtt();
+    const double loss = link.loss_fraction();
+    for (std::size_t i = 0; i < n; ++i) {
+      grant_by_id[pool.finalize(i).session_id] = grants[i];
+    }
+
+    pool.advance_all(dt, grants, rtt, loss, nullptr);
+    pool.check_invariants();  // any build, not just Debug
+    ref.advance_all(dt, grant_by_id, rtt, loss);
+
+    pool.retire_finished(collect, completed);
+    ref.retire_finished(ref_records);
+    ASSERT_EQ(pool_records.size(), ref_records.size()) << "tick " << t;
+  }
+
+  pool.flush_all(collect);
+  ref.flush_all(ref_records);
+  ASSERT_EQ(pool_records.size(), ref_records.size());
+  ASSERT_GT(completed, 0u);
+
+  const auto by_id = [](const SessionRecord& a, const SessionRecord& b) {
+    return a.session_id < b.session_id;
+  };
+  std::sort(pool_records.begin(), pool_records.end(), by_id);
+  std::sort(ref_records.begin(), ref_records.end(), by_id);
+  for (std::size_t i = 0; i < pool_records.size(); ++i) {
+    expect_records_equal(pool_records[i], ref_records[i]);
+  }
+}
+
 TEST(PoolReference, PartitionedTickMatchesSwitchPerSlotReference) {
-  // Randomized worlds over all three ABR kinds, both arms (capped and
-  // uncapped ladders), a congested shared link, and enough ticks for
-  // startups, rebuffers, abandonments, and completions to all occur.
-  // Every per-session demand and every finalized record must match the
-  // reference bit for bit.
+  // All three ABR kinds on both arms (capped and uncapped ladders).
   const BitrateLadder uncapped = BitrateLadder::standard();
   const BitrateLadder capped = uncapped.capped(2.5e6);
-
+  std::vector<AbrPolicy> kinds(3);
+  kinds[0].kind = AbrKind::kHybrid;
+  kinds[1].kind = AbrKind::kBufferBased;
+  kinds[2].kind = AbrKind::kRate;
   for (const std::uint64_t seed : {11ULL, 29ULL, 47ULL}) {
-    stats::Rng world(seed);
-    SessionParams params;
-    std::vector<AbrPolicy> policies(3);
-    policies[0].kind = AbrKind::kHybrid;
-    policies[1].kind = AbrKind::kBufferBased;
-    policies[2].kind = AbrKind::kRate;
+    SCOPED_TRACE(seed);
+    expect_pool_matches_reference(seed, kinds, uncapped, capped);
+  }
 
-    SessionPool pool(params, policies);
-    ReferencePool ref(params, policies);
+  // Hybrid maps other than the default, whose rung thresholds fall
+  // between doubles: no reservoir, and cushions no double holds exactly.
+  std::vector<AbrPolicy> hybrids(3);
+  hybrids[0].config.reservoir_seconds = 0.0;
+  hybrids[0].config.cushion_seconds = 7.3;
+  hybrids[1].config.reservoir_seconds = 3.3;
+  hybrids[1].config.cushion_seconds = 50.0 / 3.0;
+  hybrids[2].config.reservoir_seconds = 12.5;
+  hybrids[2].config.cushion_seconds = 0.1;
+  for (const std::uint64_t seed : {5ULL, 83ULL}) {
+    SCOPED_TRACE(seed);
+    expect_pool_matches_reference(seed, hybrids, uncapped, capped);
+  }
 
-    FluidLinkConfig link_config;
-    // Small enough that peak demand oversubscribes the water-fill.
-    link_config.capacity_bps = world.uniform(40e6, 80e6);
-    FluidLink link(link_config);
-
-    const double dt = 1.0;
-    const std::size_t ticks = 600;
-    std::uint64_t next_id = 0;
-    std::vector<double> demands, alloc, grant_by_id;
-    std::vector<SessionRecord> pool_records, ref_records;
-    const auto collect = [&pool_records](const SessionRecord& r) {
-      pool_records.push_back(r);
-    };
-    std::uint64_t completed = 0;
-
-    for (std::size_t t = 0; t < ticks; ++t) {
-      // Poisson arrivals, heavier early so the pool fills up.
-      const std::uint64_t arrivals =
-          world.poisson(t < ticks / 2 ? 1.2 : 0.3);
-      for (std::uint64_t a = 0; a < arrivals; ++a) {
-        SessionPool::Arrival arrival;
-        arrival.id = next_id++;
-        arrival.account = arrival.id / 3;
-        arrival.link = 0;
-        arrival.treated = world.bernoulli(0.5);
-        arrival.start_time = static_cast<double>(t) * dt;
-        arrival.duration = world.uniform(30.0, 300.0);
-        arrival.ladder = arrival.treated ? &capped : &uncapped;
-        arrival.patience = world.uniform(4.0, 20.0);
-        arrival.access_rate_bps = world.lognormal(15.0, 0.8);
-        arrival.policy = static_cast<std::uint8_t>(world.uniform_int(3));
-        pool.add(arrival);
-        ref.add(arrival);
-      }
-      grant_by_id.resize(next_id, 0.0);
-
-      // Pool demand pass; the reference must agree per session id.
-      SessionPool::DemandTotals totals;
-      pool.gather_demand(demands, totals);
-      const std::size_t n = pool.size();
-      ASSERT_EQ(demands.size(), n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t id = pool.finalize(i).session_id;
-        const RefSession* match = nullptr;
-        for (const RefSession& s : ref.sessions()) {
-          if (s.id == id) match = &s;
-        }
-        ASSERT_NE(match, nullptr) << "id " << id;
-        ASSERT_EQ(demands[i], ref.demand(*match)) << "id " << id;
-      }
-
-      // One shared allocation feeds both implementations, exactly as the
-      // cluster tick drives the pool.
-      const std::span<const double> grants = link.allocate_and_advance(
-          demands, totals.desired_load_bps, totals.demand_sum_bps,
-          totals.demand_positive, dt, alloc);
-      const double rtt = link.rtt();
-      const double loss = link.loss_fraction();
-      for (std::size_t i = 0; i < n; ++i) {
-        grant_by_id[pool.finalize(i).session_id] = grants[i];
-      }
-
-      pool.advance_all(dt, grants, rtt, loss, nullptr);
-      pool.check_invariants();  // any build, not just Debug
-      ref.advance_all(dt, grant_by_id, rtt, loss);
-
-      pool.retire_finished(collect, completed);
-      ref.retire_finished(ref_records);
-      ASSERT_EQ(pool_records.size(), ref_records.size()) << "tick " << t;
-    }
-
-    pool.flush_all(collect);
-    ref.flush_all(ref_records);
-    ASSERT_EQ(pool_records.size(), ref_records.size());
-    ASSERT_GT(completed, 0u);
-
-    const auto by_id = [](const SessionRecord& a, const SessionRecord& b) {
-      return a.session_id < b.session_id;
-    };
-    std::sort(pool_records.begin(), pool_records.end(), by_id);
-    std::sort(ref_records.begin(), ref_records.end(), by_id);
-    for (std::size_t i = 0; i < pool_records.size(); ++i) {
-      expect_records_equal(pool_records[i], ref_records[i]);
-    }
+  // Duplicate rungs: the map's index moves while the rate stays, so no
+  // switch may be counted; the startup rate is off this ladder.
+  const BitrateLadder duplicated(
+      {235e3, 750e3, 750e3, 750e3, 1750e3, 1750e3, 4300e3, 4300e3});
+  const BitrateLadder duplicated_capped = duplicated.capped(2e6);
+  hybrids.push_back(kinds[1]);
+  for (const std::uint64_t seed : {19ULL, 61ULL}) {
+    SCOPED_TRACE(seed);
+    expect_pool_matches_reference(seed, hybrids, duplicated,
+                                  duplicated_capped);
   }
 }
 

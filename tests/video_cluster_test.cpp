@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -409,6 +410,32 @@ TEST(ClusterValidation, BadFieldsAreNamedInTheError) {
   video::ClusterConfig bad_horizon;
   bad_horizon.days = 0.0;
   expect_rejects(bad_horizon, "days");
+
+  // The hybrid ABR map divides by the cushion: a zero cushion at the
+  // reservoir is 0/0, and a NaN rung index is undefined behaviour.
+  for (const double reservoir :
+       {-1.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    video::ClusterConfig bad_reservoir;
+    bad_reservoir.abr.reservoir_seconds = reservoir;
+    expect_rejects(bad_reservoir, "abr.reservoir_seconds");
+  }
+  for (const double cushion :
+       {0.0, -5.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    video::ClusterConfig bad_cushion;
+    bad_cushion.abr.cushion_seconds = cushion;
+    expect_rejects(bad_cushion, "abr.cushion_seconds");
+  }
+  for (const double startup :
+       {0.0, -1e6, std::numeric_limits<double>::quiet_NaN()}) {
+    video::ClusterConfig bad_startup;
+    bad_startup.abr.startup_bitrate = startup;
+    expect_rejects(bad_startup, "abr.startup_bitrate");
+  }
+  video::ClusterConfig no_reservoir;
+  no_reservoir.abr.reservoir_seconds = 0.0;
+  EXPECT_NO_THROW(video::validate(no_reservoir));
 
   EXPECT_NO_THROW(video::validate(video::ClusterConfig{}));
 }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -89,6 +91,55 @@ TEST(Abr, CappedLadderNeverExceedsCap) {
   for (double buffer = 0.0; buffer <= 100.0; buffer += 5.0) {
     EXPECT_LE(rungs[abr_select_index_rungs(top, AbrConfig{}, buffer)],
               3000e3);
+  }
+}
+
+TEST(Abr, RungThresholdsAreExact) {
+  // Every threshold is the first double that reaches its rung, over
+  // reservoirs (zero included), cushions that no double holds exactly,
+  // and every ladder size up to the standard one.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  stats::Rng rng(2024);
+  for (const double reservoir : {0.0, 3.3, 10.0, 17.7}) {
+    for (const double cushion : {1e-3, 0.1, 7.3, 50.0 / 3.0, 50.0}) {
+      AbrConfig config;
+      config.reservoir_seconds = reservoir;
+      config.cushion_seconds = cushion;
+      for (std::size_t top = 0; top <= 12; ++top) {
+        const double top_index = static_cast<double>(top);
+        const auto index = [&](double buffer) {
+          return abr_select_index_rungs(top_index, config, buffer);
+        };
+        const std::vector<double> theta =
+            abr_rung_thresholds(top_index, config);
+        ASSERT_EQ(theta.size(), top + 2);
+        EXPECT_EQ(theta[0], -kInf);
+        EXPECT_EQ(theta[top + 1], kInf);
+        for (std::size_t k = 1; k <= top; ++k) {
+          EXPECT_GE(index(theta[k]), k) << "k " << k;
+          EXPECT_LT(index(std::nextafter(theta[k], -kInf)), k) << "k " << k;
+          EXPECT_LE(theta[k - 1], theta[k]);
+        }
+        // The interval lookup the pool caches equals the map itself.
+        const auto lookup = [&](double buffer) {
+          std::size_t k = 0;
+          while (k < top && theta[k + 1] <= buffer) ++k;
+          return k;
+        };
+        for (int draw = 0; draw < 200; ++draw) {
+          const double buffer =
+              rng.uniform(0.0, reservoir + 1.25 * cushion + 1.0);
+          EXPECT_EQ(lookup(buffer), index(buffer)) << "buffer " << buffer;
+        }
+        for (std::size_t k = 1; k <= top; ++k) {
+          for (const double buffer :
+               {std::nextafter(theta[k], -kInf), theta[k],
+                std::nextafter(theta[k], kInf)}) {
+            EXPECT_EQ(lookup(buffer), index(buffer)) << "buffer " << buffer;
+          }
+        }
+      }
+    }
   }
 }
 
