@@ -8,11 +8,13 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "core/analysis.h"
+#include "core/estimator.h"
 #include "core/quantile_effects.h"
 #include "lab/experiment.h"
 #include "lab/fleet_scenarios.h"
@@ -274,6 +276,38 @@ BENCHMARK(BM_ExperimentPipeline)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+void BM_RecordPathAnalysis(benchmark::State& state) {
+  // The record-path analysis kernels (account means, hourly cells, row
+  // guards) behind the four estimators that read paired per-session
+  // tables. The report is simulated once, outside the loop; each
+  // iteration reads every metric of it the way the pipeline's analysis
+  // stage does, one (estimator, metric) job after another.
+  xp::util::Runner runner(1);
+  xp::lab::ExperimentSpec spec;
+  spec.scenario = "paired_links/experiment";
+  spec.tuning.duration_scale = 0.2;
+  spec.replicates = 2;
+  const xp::lab::ExperimentReport report =
+      xp::lab::run_experiment(spec, runner);
+  std::vector<std::unique_ptr<xp::core::Estimator>> estimators;
+  for (const char* key : {"naive/ab", "paired_link/tte",
+                          "paired_link/spillover", "aa/null"}) {
+    estimators.push_back(xp::core::make_estimator(key));
+  }
+  const std::vector<std::string> metrics =
+      report.first_ok_cell()->table.metrics;
+  const xp::core::EstimatorOptions options;
+  for (auto _ : state) {
+    for (const auto& estimator : estimators) {
+      for (const std::string& metric : metrics) {
+        benchmark::DoNotOptimize(
+            estimator->estimate_metric(report, metric, options));
+      }
+    }
+  }
+}
+BENCHMARK(BM_RecordPathAnalysis)->Unit(benchmark::kMillisecond);
 
 void BM_TraceReplayDay(benchmark::State& state) {
   // One block-bootstrap replicate of a recorded day (src/trace/): the

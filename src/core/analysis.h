@@ -49,6 +49,15 @@ struct HourlyCell {
 /// cell means.
 std::vector<HourlyCell> aggregate_hourly(std::span<const Observation> rows);
 
+/// How many distinct absolute hours and distinct (hour_index, arm) cells
+/// `rows` cover, counting every row (finite outcome or not). Exact for
+/// every uint64_t hour_index.
+struct HourlyCellCount {
+  std::size_t hours = 0;
+  std::size_t cells = 0;
+};
+HourlyCellCount count_hourly_cells(std::span<const Observation> rows);
+
 struct AnalysisOptions {
   double confidence_level = 0.95;
   std::size_t newey_west_lag = 2;  ///< hours, as in the paper

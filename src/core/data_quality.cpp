@@ -2,10 +2,10 @@
 
 #include <cmath>
 #include <limits>
-#include <set>
 #include <sstream>
 #include <utility>
 
+#include "core/analysis.h"
 #include "stats/distributions.h"
 
 namespace xp::core {
@@ -40,18 +40,15 @@ DataQualityReport assess_quality(const ObservationTable& table,
   // Unit-level tallies off the first column (rows are aligned across
   // metric columns; treatment and time coordinates are per unit).
   if (!table.columns.empty()) {
-    std::set<std::uint64_t> hours;
-    std::set<std::pair<std::uint64_t, bool>> arm_hours;
     for (const Observation& row : table.columns.front()) {
       ++report.rows;
       (row.treated ? report.treated_rows : report.control_rows) += 1;
       (row.treated ? report.treated_weight : report.control_weight) +=
           row.weight;
-      hours.insert(row.hour_index);
-      arm_hours.insert({row.hour_index, row.treated});
     }
-    report.hours_observed = hours.size();
-    report.arm_hour_cells = arm_hours.size();
+    const HourlyCellCount cells = count_hourly_cells(table.columns.front());
+    report.hours_observed = cells.hours;
+    report.arm_hour_cells = cells.cells;
   }
 
   for (std::size_t c = 0; c < table.columns.size(); ++c) {

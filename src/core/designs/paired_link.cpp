@@ -15,9 +15,22 @@ std::vector<Observation> tte_contrast(std::span<const Observation> rows) {
 std::vector<Observation> cross_cell_contrast(std::span<const Observation> rows,
                                              const RowFilter& exposed,
                                              const RowFilter& control) {
-  auto obs = select(rows, exposed, /*relabel=*/1);
-  const auto other = select(rows, control, /*relabel=*/0);
-  obs.insert(obs.end(), other.begin(), other.end());
+  std::size_t matched = 0;
+  for (const Observation& row : rows) {
+    matched += matches(row, exposed);
+    matched += matches(row, control);
+  }
+  std::vector<Observation> obs;
+  obs.reserve(matched);
+  const auto append = [&](const RowFilter& filter, bool treated) {
+    for (const Observation& row : rows) {
+      if (!matches(row, filter)) continue;
+      obs.push_back(row);
+      obs.back().treated = treated;
+    }
+  };
+  append(exposed, true);
+  append(control, false);
   return obs;
 }
 

@@ -1,11 +1,11 @@
 #include "core/estimator.h"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <map>
-#include <set>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -43,27 +43,38 @@ bool both_arms(Rows rows, std::size_t min_per_arm) {
 }
 
 /// hourly_fe_analysis needs >= 4 (hour, arm) cells, both arms present,
-/// and more cells than regression parameters (intercept + arm + the
-/// hour-of-day dummies minus the dropped base level).
+/// every hour of day below 24, and more cells than regression parameters
+/// (intercept + arm + the hour-of-day dummies minus the dropped base
+/// level).
 bool hourly_ok(Rows rows) {
-  std::set<std::pair<std::uint64_t, bool>> cells;
-  std::set<std::uint32_t> hours_of_day;
+  std::uint32_t hours_of_day = 0;  // bit h: hour of day h seen
   bool treated_seen = false, control_seen = false;
   for (const Observation& row : rows) {
-    cells.insert({row.hour_index, row.treated});
-    hours_of_day.insert(row.hour_of_day);
+    if (row.hour_of_day >= 24) return false;
+    hours_of_day |= std::uint32_t{1} << row.hour_of_day;
     (row.treated ? treated_seen : control_seen) = true;
   }
-  return treated_seen && control_seen && cells.size() >= 4 &&
-         cells.size() > hours_of_day.size() + 1;
+  if (!treated_seen || !control_seen) return false;
+  const std::size_t cells = count_hourly_cells(rows).cells;
+  return cells >= 4 &&
+         cells > static_cast<std::size_t>(std::popcount(hours_of_day)) + 1;
 }
 
-/// account_level_analysis needs >= 2 distinct accounts per arm.
+/// account_level_analysis needs >= 2 distinct accounts per arm: each
+/// arm's first account, and whether a different one followed it.
 bool accounts_ok(Rows rows) {
-  std::set<std::uint64_t> treated, control;
+  std::uint64_t first[2] = {0, 0};
+  bool seen[2] = {false, false};
+  bool two[2] = {false, false};
   for (const Observation& row : rows) {
-    (row.treated ? treated : control).insert(row.account);
-    if (treated.size() >= 2 && control.size() >= 2) return true;
+    const int arm = row.treated ? 1 : 0;
+    if (!seen[arm]) {
+      seen[arm] = true;
+      first[arm] = row.account;
+    } else if (row.account != first[arm]) {
+      two[arm] = true;
+      if (two[0] && two[1]) return true;
+    }
   }
   return false;
 }
@@ -236,6 +247,11 @@ class NaiveAbEstimator final : public BuiltinEstimator {
       if (!any_treated(report, a, metric)) continue;
       const std::string suffix = allocation_suffix(report, a);
       if (two_groups(first_usable_rows(report, a, metric))) {
+        // Both links' rows normalize by the same global control cell.
+        std::vector<double> baselines(report.replicates);
+        for (std::size_t r = 0; r < report.replicates; ++r) {
+          baselines[r] = paired_baseline(metric_column(report, a, r, metric));
+        }
         for (int link = 0; link < 2; ++link) {
           out.push_back(replicate_row(
               report, a, metric,
@@ -246,7 +262,7 @@ class NaiveAbEstimator final : public BuiltinEstimator {
                 filter.link = link;
                 const auto within = select(rows, filter);
                 AnalysisOptions analysis = options.analysis;
-                analysis.baseline_override = paired_baseline(rows);
+                analysis.baseline_override = baselines[r];
                 return guarded(
                     [&] { return accounts_ok(within); },
                     [&] { return account_level_analysis(within, analysis); });

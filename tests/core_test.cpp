@@ -91,6 +91,18 @@ TEST(HourlyFe, TooFewCellsThrows) {
   EXPECT_THROW(hourly_fe_analysis(rows), std::invalid_argument);
 }
 
+TEST(HourlyFe, HourOfDayPastTheDayThrowsNamingTheField) {
+  auto rows = sutva_world(0.0, 0.5, 29, 1);
+  rows.back().hour_of_day = 24;  // the last row sets its cell's hour
+  try {
+    hourly_fe_analysis(rows);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("hour_of_day"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(AccountLevel, RecoversEffect) {
   const auto rows = sutva_world(4.0, 0.5, 19);
   const EffectEstimate estimate = account_level_analysis(rows);

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/data_quality.h"
+#include "core/designs/paired_link.h"
 #include "core/estimator.h"
 #include "lab/experiment.h"
 #include "lab/registry.h"
@@ -817,6 +818,40 @@ TEST(Degenerate, EveryEstimatorSurvivesDegenerateReports) {
       }
     }
   }
+}
+
+TEST(Degenerate, HourOfDayPastTheDayYieldsANullTteRow) {
+  // A registered source may emit any hour_of_day; the hourly read has 24
+  // fixed-effect levels, so a row at hour 24 must null the row, not index
+  // past them.
+  std::vector<core::Observation> rows;
+  for (std::size_t i = 0; i < 480; ++i) {
+    core::Observation obs;
+    obs.unit = i;
+    obs.account = i;
+    obs.group = static_cast<std::uint8_t>(i % 2);
+    obs.treated = obs.group == core::kMostlyTreatedLink;
+    obs.hour_index = i / 2 % 24;
+    obs.hour_of_day = static_cast<std::uint32_t>(obs.hour_index);
+    obs.outcome =
+        10.0 + static_cast<double>(i % 7) + (obs.treated ? 1.0 : 0.0);
+    rows.push_back(obs);
+  }
+  const auto tte = core::make_estimator("paired_link/tte");
+  const auto tte_row = [&](const std::vector<core::Observation>& table) {
+    for (const auto& row :
+         tte->estimate_metric(hand_report(table, 0.5), "m", {})) {
+      if (row.label == "tte") return row.replicates.at(0);
+    }
+    throw std::logic_error("no tte row");
+  };
+  EXPECT_LT(tte_row(rows).p_value, 1.0);  // the clean table is analyzed
+
+  rows.back().hour_of_day = 24;
+  const core::EffectEstimate bad = tte_row(rows);
+  EXPECT_EQ(bad.estimate, 0.0);
+  EXPECT_EQ(bad.std_error, 0.0);
+  EXPECT_EQ(bad.p_value, 1.0);
 }
 
 TEST(Degenerate, UnknownMetricThrowsNamingTheAvailableColumns) {
