@@ -58,9 +58,9 @@ BENCHMARK(BM_OlsHourlyFeNeweyWest);
 
 void BM_QuantileLadderBootstrap(benchmark::State& state) {
   // The Section-2 tail-effect ladder (median / p90 / p99) over a
-  // session-sized observation table — the batched-resampling hot path
-  // behind every quantile figure. The ladder is serial, so this is the
-  // kernel alone.
+  // session-sized observation table — the draw-and-count resampling
+  // kernel (counts per unit, a rank walk down from the top) behind every
+  // quantile figure. The ladder is serial, so this is the kernel alone.
   xp::stats::Rng rng(4);
   std::vector<xp::core::Observation> rows(4000);
   for (std::size_t i = 0; i < rows.size(); ++i) {

@@ -345,8 +345,9 @@ CellJournal::CellJournal(std::string path) : impl_(new Impl) {
     if (!in) {
       throw std::runtime_error("journal: cannot open " + impl_->path);
     }
-    data.assign(std::istreambuf_iterator<char>(in),
-                std::istreambuf_iterator<char>());
+    data.resize(static_cast<std::size_t>(fs::file_size(file)));
+    in.read(data.data(), static_cast<std::streamsize>(data.size()));
+    data.resize(static_cast<std::size_t>(in.gcount()));
   }
 
   std::size_t valid_end = 0;

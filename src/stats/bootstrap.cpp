@@ -1,10 +1,10 @@
 #include "stats/bootstrap.h"
 
 #include <algorithm>
-#include <iterator>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "stats/descriptive.h"
@@ -13,44 +13,41 @@ namespace xp::stats {
 
 namespace {
 
-/// The bootstrap's one draw order: n indices uniform on [0, n), handed to
-/// `use(offset, chunk)` a stack-chunk at a time (fill_uniform_int
-/// preserves the one-at-a-time draw order exactly), so the generator
-/// recurrence runs back to back and the consuming loop is free of it.
-/// Pinned to a cache-line boundary: this loop is nearly all of the
-/// quantile ladder's time, and unpinned its speed moved with the size of
-/// unrelated code linked ahead of it.
-template <class Use>
-[[gnu::aligned(64)]] void draw_indices(std::size_t n, Rng& rng, Use&& use) {
-  std::uint32_t idx[256];
-  for (std::size_t done = 0; done < n;) {
-    const std::size_t m = std::min(std::size(idx), n - done);
-    rng.fill_uniform_int(n, {idx, m});
-    use(done, std::span<const std::uint32_t>(idx, m));
-    done += m;
-  }
-}
-
 /// Quantile of one resample of `arm`, read without building it: count how
-/// often each rank is drawn, then walk the prefix sums to the two order
-/// statistics. Position p of the sorted resample holds sorted[k] for the
-/// first k whose prefix count exceeds p — the same doubles a sort of the
-/// gathered resample puts there. Only equal values can trade places, and
-/// among finite doubles only +0.0 and -0.0 differ in bits while comparing
-/// equal; the interpolation returns +0.0 for either zero at lo or hi.
-double resampled_quantile(const RankedSample& arm, const QuantilePosition& at,
-                          Rng& rng, std::span<std::uint32_t> counts) {
+/// often each unit is drawn, then walk the ranks (`order`) to the two
+/// order statistics. Position p of the sorted resample holds sorted[k] for
+/// the first k whose prefix count exceeds p — the same doubles a sort of
+/// the gathered resample puts there. Only equal values can trade places,
+/// and among finite doubles only +0.0 and -0.0 differ in bits while
+/// comparing equal; the interpolation returns +0.0 for either zero at lo
+/// or hi.
+///
+/// The walk runs down from the top rank, keeping the suffix sum s(k+1) of
+/// the counts above k: prefix(k) > p is n - s(k+1) > p, exact in integers.
+/// It visits n - lo ranks, so p99 walks 1% of them and the median half.
+///
+/// Pinned to a cache-line boundary: this loop is nearly all of the
+/// quantile ladder's time, and the pin keeps its placement, and so its
+/// speed, from moving with the size of unrelated code linked ahead of it.
+[[gnu::aligned(64)]] double resampled_quantile(const RankedSample& arm,
+                                               const QuantilePosition& at,
+                                               Rng& rng,
+                                               std::span<std::uint32_t> counts) {
   const std::size_t n = arm.sorted.size();
   std::fill_n(counts.begin(), n, 0u);
-  draw_indices(n, rng, [&](std::size_t, std::span<const std::uint32_t> idx) {
-    for (const std::uint32_t i : idx) ++counts[arm.rank[i]];
-  });
-  std::size_t k = 0;
-  std::size_t seen = counts[0];
-  while (seen <= at.lo) seen += counts[++k];
-  const double v_lo = arm.sorted[k];
-  while (seen <= at.hi) seen += counts[++k];
-  return at.interpolate(v_lo, arm.sorted[k]);
+  for (std::size_t d = 0; d < n; ++d) ++counts[rng.uniform_int(n)];
+  const auto count_at = [&](std::size_t k) { return counts[arm.order[k]]; };
+  // Step below k while prefix(k - 1) > p still holds, i.e. while
+  // s(k) = above + count_at(k) < n - p. At k = 0, s(0) = n stops it.
+  std::size_t k = n - 1;
+  std::size_t above = 0;  // s(k + 1)
+  const auto descend = [&](std::size_t p) {
+    while (above + count_at(k) < n - p) above += count_at(k--);
+  };
+  descend(at.hi);
+  const double v_hi = arm.sorted[k];
+  descend(at.lo);
+  return at.interpolate(arm.sorted[k], v_hi);
 }
 
 /// Independent substream for replicate `r`: counter-based (mix64 of a base
@@ -87,11 +84,10 @@ RankedSample rank_sample(std::span<const double> sample) {
                    });
   RankedSample ranked;
   ranked.sorted.resize(sample.size());
-  ranked.rank.resize(sample.size());
-  for (std::uint32_t k = 0; k < order.size(); ++k) {
+  for (std::size_t k = 0; k < order.size(); ++k) {
     ranked.sorted[k] = sample[order[k]];
-    ranked.rank[order[k]] = k;
   }
+  ranked.order = std::move(order);
   return ranked;
 }
 

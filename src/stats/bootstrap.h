@@ -27,19 +27,22 @@ struct BootstrapInterval {
 
 /// A sample sorted once so every resample can be read in linear time.
 struct RankedSample {
-  std::vector<double> sorted;       ///< the values, ascending
-  std::vector<std::uint32_t> rank;  ///< position in `sorted` of value i
+  std::vector<double> sorted;        ///< the values, ascending
+  std::vector<std::uint32_t> order;  ///< the unit at sorted position k:
+                                     ///< sorted[k] == sample[order[k]]
 };
 
-/// Ranks `sample` by a stable sort of its indices by value. The values
-/// must be finite (NaN has no place in an ordering) and number fewer
-/// than 2^32, so every index and rank fits in 32 bits.
+/// Ranks `sample` by a stable sort of its indices by value, so equal
+/// values keep their input order. The values must be finite (NaN has no
+/// place in an ordering) and number fewer than 2^32, so every index fits
+/// in 32 bits.
 RankedSample rank_sample(std::span<const double> sample);
 
 /// Percentile bootstrap for Q_q(a) - Q_q(b), the type-7 quantile
 /// difference, resampling each arm independently (appropriate for A/B
-/// cells). Per replicate it draws all of a's indices, then all of b's,
-/// and counts their ranks instead of sorting the resample: O(n) per
+/// cells). Per replicate it draws all of a's units, then all of b's,
+/// counting the draws per unit instead of sorting the resample, and walks
+/// the ranks down from the top to the two order statistics: O(n) per
 /// replicate, and bit-identical to sorting each resample and reading
 /// quantile_sorted. Both arms need at least two values.
 BootstrapInterval bootstrap_quantile_difference_ci(

@@ -45,7 +45,7 @@ struct QuantilePosition {
 
   /// The quantile given the values of its two order statistics — the one
   /// place the type-7 interpolation is written, so quantile_sorted and
-  /// the bootstrap's rank-count kernel agree to the bit.
+  /// the bootstrap's draw-count kernel agree to the bit.
   double interpolate(double v_lo, double v_hi) const noexcept {
     return v_lo + frac * (v_hi - v_lo);
   }

@@ -121,13 +121,6 @@ double Rng::lognormal(double mu, double sigma) noexcept {
   return std::exp(normal(mu, sigma));
 }
 
-void Rng::fill_uniform_int(std::uint64_t n,
-                           std::span<std::uint32_t> out) noexcept {
-  for (std::uint32_t& v : out) {
-    v = static_cast<std::uint32_t>(uniform_int(n));
-  }
-}
-
 BatchedRng::BatchedRng(std::uint64_t seed, std::size_t block_words)
     : rng_(seed), block_(block_words == 0 ? 1 : block_words) {
   pos_ = block_.size();  // empty: first draw triggers a refill

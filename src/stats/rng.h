@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 namespace xp::stats {
@@ -64,12 +63,6 @@ class Rng {
   std::uint64_t poisson(double mean) noexcept;
   /// Log-normal: exp(Normal(mu, sigma)).
   double lognormal(double mu, double sigma) noexcept;
-  /// Fill `out` with uniform integers in [0, n); out[k] is exactly the
-  /// value the k-th uniform_int(n) call would have produced. Requires
-  /// 0 < n <= 2^32 (resampling indices). Batching the index generation
-  /// unclogs the bootstrap inner loop: the generator recurrence runs back
-  /// to back instead of interleaved with the gather's cache misses.
-  void fill_uniform_int(std::uint64_t n, std::span<std::uint32_t> out) noexcept;
 
  private:
   std::uint64_t state_[4];

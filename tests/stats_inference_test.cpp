@@ -127,6 +127,10 @@ TEST(QuantileDifferenceKernel, MatchesSortingReferenceBitForBit) {
       // skipped.
       {"signed zeros", 257, 1000, 2},
       {"signed zeros, tiny", 11, 10, 2},
+      {"n=2", 2, 2, 0},
+      {"n=3", 3, 3, 0},
+      {"2 vs 3, heavy ties", 2, 3, 1},
+      {"3 vs 2, signed zeros", 3, 2, 2},
   };
   const double qs[] = {0.0, 0.5, 0.9, 0.99, 1.0};
   Rng fill(29);
@@ -179,13 +183,15 @@ TEST(QuantileDifferenceKernel, RankSampleSortsStablyAndInverts) {
   const std::vector<double> xs{3.0, -1.0, 3.0, 0.0, -0.0, 2.0};
   const RankedSample ranked = rank_sample(xs);
   EXPECT_TRUE(std::is_sorted(ranked.sorted.begin(), ranked.sorted.end()));
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(ranked.sorted[ranked.rank[i]]),
-              std::bit_cast<std::uint64_t>(xs[i]));
+  ASSERT_EQ(ranked.order.size(), xs.size());
+  for (std::size_t k = 0; k < xs.size(); ++k) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(ranked.sorted[k]),
+              std::bit_cast<std::uint64_t>(xs[ranked.order[k]]));
   }
-  // Stable: equal values keep their input order.
-  EXPECT_LT(ranked.rank[0], ranked.rank[2]);
-  EXPECT_LT(ranked.rank[3], ranked.rank[4]);
+  // Stable: equal values keep their input order (3.0 at units 0 then 2,
+  // the zeros as 0.0 at unit 3 then -0.0 at unit 4).
+  const std::vector<std::uint32_t> want{1, 3, 4, 5, 0, 2};
+  EXPECT_EQ(ranked.order, want);
 }
 
 TEST(QuantileDifferenceKernel, TooSmallArmThrows) {

@@ -133,17 +133,6 @@ TEST(Rng, LognormalMedian) {
   EXPECT_NEAR(xs[xs.size() / 2], std::exp(2.0), 0.15);
 }
 
-TEST(Rng, FillUniformIntMatchesSequentialCalls) {
-  // out[k] must be exactly the k-th uniform_int(n) call's value (the
-  // bootstrap's batched resampling indices rely on it).
-  Rng scalar(71), batched(71);
-  std::vector<std::uint32_t> out(100);
-  batched.fill_uniform_int(37, out);
-  for (std::size_t k = 0; k < out.size(); ++k) {
-    ASSERT_EQ(scalar.uniform_int(37), out[k]) << "k=" << k;
-  }
-}
-
 // --- BatchedRng: the documented draw-order contract -------------------
 //
 // BatchedRng(seed) must produce exactly the variate sequence Rng(seed)
