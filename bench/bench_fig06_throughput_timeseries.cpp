@@ -1,8 +1,11 @@
 // Figure 6: hourly client throughput, normalized to the largest hourly
 // value — (a) a baseline day with no treatment (links overlap), (b) an
 // experiment day (the mostly-capped link stays uncongested longer and
-// carries higher throughput through the peak).
+// carries higher throughput through the peak). The worlds are the
+// registry's: (a) is t01's paired_links/baseline week, (b) Figure 5's
+// paired_links/experiment week 1; both plot day 1.
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <vector>
 
@@ -11,17 +14,19 @@
 
 namespace {
 
-// Mean hourly session throughput per link for one day of rows.
+// Mean hourly session throughput per link for one day of a world.
 std::array<std::vector<double>, 2> hourly_throughput(
-    const std::vector<xp::video::SessionRecord>& rows, std::uint32_t day) {
+    const xp::lab::ExperimentReport& report, std::uint32_t day) {
   std::array<std::vector<double>, 2> sums{std::vector<double>(24, 0.0),
                                           std::vector<double>(24, 0.0)};
   std::array<std::vector<double>, 2> counts{std::vector<double>(24, 0.0),
                                             std::vector<double>(24, 0.0)};
+  const auto& rows = report.cell(0, 0).table.column(
+      xp::core::metric_name(xp::core::Metric::kThroughput));
   for (const auto& row : rows) {
     if (row.day != day) continue;
-    sums[row.link][row.hour] += row.avg_throughput_bps;
-    counts[row.link][row.hour] += 1.0;
+    sums[row.group][row.hour_of_day] += row.outcome;
+    counts[row.group][row.hour_of_day] += 1.0;
   }
   for (int link = 0; link < 2; ++link) {
     for (int hour = 0; hour < 24; ++hour) {
@@ -52,11 +57,12 @@ int main() {
       "Figure 6 — hourly normalized throughput: baseline day vs "
       "experiment day");
 
-  const auto [baseline, experiment] = xp::bench::baseline_and_experiment(3.0);
-
-  print_day(hourly_throughput(baseline.sessions, 1),
+  print_day(hourly_throughput(xp::bench::bootstrap_weeks(
+                                  "paired_links/baseline", 1, {}, 1917),
+                              1),
             "(a) baseline day: no capping anywhere — links overlap");
-  print_day(hourly_throughput(experiment.sessions, 1),
+  print_day(hourly_throughput(
+                xp::bench::bootstrap_weeks("paired_links/experiment", 1), 1),
             "(b) experiment day: link 1 95% capped — less congested and "
             "faster through the peak");
   return 0;

@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_util.h"
 #include "core/analysis.h"
 #include "core/estimator.h"
 #include "core/quantile_effects.h"
@@ -28,6 +27,7 @@
 #include "stats/rng.h"
 #include "trace/replay.h"
 #include "trace/writer.h"
+#include "video/cluster.h"
 #include "video/fluid_link.h"
 
 namespace {
@@ -209,8 +209,10 @@ void BM_PairedLinksDay(benchmark::State& state) {
   // fluid paired-link cluster that generates every figure's telemetry.
   // This is the data-generating hot path the CI gate watches alongside
   // the packet-level kernel (BM_DumbbellSimSecond).
+  xp::video::ClusterConfig config = xp::lab::canonical_experiment_config();
+  config.days = 1.0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(xp::bench::main_experiment(/*days=*/1.0));
+    benchmark::DoNotOptimize(xp::video::run_paired_links(config));
   }
 }
 BENCHMARK(BM_PairedLinksDay)->Unit(benchmark::kMillisecond);
@@ -315,7 +317,9 @@ void BM_TraceReplayDay(benchmark::State& state) {
   // cell indexing) happens once outside the loop, like a long-lived
   // replay service; the loop measures one seed-pure replicate draw plus
   // the metric-column build.
-  const auto sessions = xp::bench::main_experiment(/*days=*/1.0).sessions;
+  xp::video::ClusterConfig config = xp::lab::canonical_experiment_config();
+  config.days = 1.0;
+  const auto sessions = xp::video::run_paired_links(config).sessions;
   xp::trace::TraceMeta meta;
   meta.allocation = 0.95;
   meta.horizon_s = 86400.0;

@@ -89,7 +89,9 @@ int main() {
   xp::bench::header(
       "A/A calibration — switchback vs event-study false positives on "
       "baseline data");
-  const auto baseline = xp::bench::baseline_week();
+  // t01's world: one all-control paired_links/baseline week.
+  const auto baseline =
+      xp::bench::bootstrap_weeks("paired_links/baseline", 1, {}, 1917);
   std::printf("%-22s | %-26s %-26s\n", "metric",
               "switchback FP (of tested)", "event-study FP (of tested)");
   constexpr std::uint32_t kDays = 5;
@@ -106,7 +108,7 @@ int main() {
     // A/A: no real treatment anywhere. Link 0's control traffic plays the
     // treated source, link 1's the control source.
     const auto rows = xp::core::cross_cell_contrast(
-        xp::core::select(baseline.sessions, metric),
+        baseline.cell(0, 0).table.column(metric_name(metric)),
         link0_control, link1_control);
     // Every day assignment with at least one day per arm.
     Calibration switchback;

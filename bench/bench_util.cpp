@@ -1,11 +1,10 @@
 #include "bench/bench_util.h"
 
 #include <stdexcept>
+#include <utility>
 
 #include "core/analysis.h"
-#include "lab/registry.h"
 #include "stats/descriptive.h"
-#include "util/runner.h"
 
 namespace xp::bench {
 
@@ -17,33 +16,6 @@ void header(std::string_view title) {
   std::printf("%.*s\n", 100,
               "====================================================="
               "===============================================");
-}
-
-video::ClusterResult main_experiment(double days, std::uint64_t seed) {
-  video::ClusterConfig config = lab::canonical_experiment_config();
-  config.days = days;
-  config.seed = seed;
-  return video::run_paired_links(config);
-}
-
-video::ClusterResult baseline_week(double days, std::uint64_t seed) {
-  video::ClusterConfig config = lab::canonical_baseline_config();
-  config.days = days;
-  config.seed = seed;
-  return video::run_paired_links(config);
-}
-
-std::pair<video::ClusterResult, video::ClusterResult> baseline_and_experiment(
-    double days) {
-  std::pair<video::ClusterResult, video::ClusterResult> results;
-  util::global_runner().parallel_for(2, [&](std::size_t i) {
-    if (i == 0) {
-      results.first = baseline_week(days);
-    } else {
-      results.second = main_experiment(days);
-    }
-  });
-  return results;
 }
 
 lab::ExperimentReport bootstrap_weeks(const std::string& scenario,

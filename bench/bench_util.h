@@ -1,42 +1,28 @@
-// Shared helpers for the figure-reproduction benchmark binaries. The
-// canonical experiment/baseline week configurations live in exactly one
-// compiled translation unit (bench_util.cpp, on top of the lab registry's
-// canonical configs) so every bench reproduces the same worlds.
+// Shared helpers for the figure-reproduction benchmark binaries. Every
+// figure gets its world from the scenario registry through
+// run_experiment (bootstrap_weeks, lab_sweep), so benches that read the
+// same scenario and seed read the same world: Figs 5-9 and the ablations
+// read paired_links/experiment's week 1, and t01, t02 and Fig 6 (a) read
+// paired_links/baseline at seed 1917.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "core/observation.h"
 #include "lab/experiment.h"
-#include "video/cluster.h"
 
 namespace xp::bench {
 
 void header(std::string_view title);
 
-/// The canonical 5-day paired-link experiment of Section 4 (Wed-Sun).
-video::ClusterResult main_experiment(double days = 5.0,
-                                     std::uint64_t seed = 2021);
-
-/// The baseline week: no treatment anywhere (Section 4.1 / A/A data).
-video::ClusterResult baseline_week(double days = 5.0,
-                                   std::uint64_t seed = 1917);
-
-/// Baseline week and main experiment, fanned across cores. Both worlds are
-/// independent and deterministic in their own seeds, so the pair is
-/// identical to two serial runs at any thread count.
-std::pair<video::ClusterResult, video::ClusterResult> baseline_and_experiment(
-    double days = 5.0);
-
 /// `weeks` independent replicate worlds of a registered scenario at its
-/// default allocation, fanned across the process-wide runner (the
-/// bootstrap-week harness of the Figure 5/10-13 benches), analyzed in
-/// the same pass by the named registry estimators (core/estimator.h).
+/// default allocation, fanned across the process-wide runner (the world
+/// of every paired-link figure and table bench), analyzed in the same
+/// pass by the named registry estimators (core/estimator.h).
 lab::ExperimentReport bootstrap_weeks(
     const std::string& scenario, std::size_t weeks,
     std::vector<std::string> estimators = {}, std::uint64_t seed = 2021,

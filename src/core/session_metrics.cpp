@@ -86,8 +86,11 @@ std::vector<Observation> select(std::span<const Observation> rows,
   return out;
 }
 
-std::vector<Observation> select(std::span<const video::SessionRecord> rows,
-                                Metric metric) {
+namespace {
+
+// One metric column of metric_table.
+std::vector<Observation> metric_column(
+    std::span<const video::SessionRecord> rows, Metric metric) {
   std::vector<Observation> out;
   out.reserve(rows.size());
   for (const video::SessionRecord& row : rows) {
@@ -105,12 +108,15 @@ std::vector<Observation> select(std::span<const video::SessionRecord> rows,
   return out;
 }
 
+}  // namespace
+
 ObservationTable metric_table(std::span<const video::SessionRecord> rows) {
   ObservationTable table;
   table.metrics.reserve(std::size(kAllMetrics));
   table.columns.reserve(std::size(kAllMetrics));
   for (Metric metric : kAllMetrics) {
-    table.add_column(std::string(metric_name(metric)), select(rows, metric));
+    table.add_column(std::string(metric_name(metric)),
+                     metric_column(rows, metric));
   }
   return table;
 }

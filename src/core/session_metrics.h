@@ -50,14 +50,11 @@ struct RowFilter {
 
 bool matches(const Observation& row, const RowFilter& filter) noexcept;
 
-/// Convert every telemetry row to an observation of `metric`, keeping the
-/// row's own arm label and link (as the observation's group).
-std::vector<Observation> select(std::span<const video::SessionRecord> rows,
-                                Metric metric);
-
 /// The per-session table: one column per kAllMetrics entry, in that
-/// order, each holding one row per record. Every backend that has
-/// per-session records builds its table here.
+/// order, each holding one row per record (the record's own arm label,
+/// and its link as the observation's group). Every backend that has
+/// per-session records builds its table here; it is the only route from
+/// records to observations.
 ObservationTable metric_table(std::span<const video::SessionRecord> rows);
 
 /// Filter a metric column (e.g. one ObservationTable column).

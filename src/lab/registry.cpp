@@ -180,9 +180,12 @@ void install_builtins(std::map<std::string, SourceFactory>& reg) {
         /*allocation_sets_treatment=*/true);
   });
   reg.emplace("paired_links/baseline", [](const SourceOptions& opt) {
+    // The A/A week: the canonical world with no treatment on either link.
+    video::ClusterConfig config = tuned(canonical_experiment_config(), opt);
+    config.treat_probability[0] = 0.0;
+    config.treat_probability[1] = 0.0;
     return std::make_unique<PairedLinkSource>(
-        tuned(canonical_baseline_config(), opt),
-        /*allocation_sets_treatment=*/false);
+        config, /*allocation_sets_treatment=*/false);
   });
 
   // Policy-backed experiment families: the canonical week with the arm
@@ -332,14 +335,6 @@ LabConfig canonical_lab_config() {
 video::ClusterConfig canonical_experiment_config() {
   video::ClusterConfig config;  // 5-day week, 95%/5% capping
   config.seed = 2021;
-  return config;
-}
-
-video::ClusterConfig canonical_baseline_config() {
-  video::ClusterConfig config = canonical_experiment_config();
-  config.seed = 1917;
-  config.treat_probability[0] = 0.0;
-  config.treat_probability[1] = 0.0;
   return config;
 }
 

@@ -100,6 +100,5 @@ std::vector<std::string> scenario_names();
 /// Canonical configurations (the single source of truth).
 LabConfig canonical_lab_config();
 video::ClusterConfig canonical_experiment_config();  ///< 5-day 95%/5% week
-video::ClusterConfig canonical_baseline_config();    ///< 5-day A/A week
 
 }  // namespace xp::lab

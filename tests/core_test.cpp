@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -13,6 +14,7 @@
 #include "core/designs/gradual.h"
 #include "core/estimands.h"
 #include "core/quantile_effects.h"
+#include "core/session_metrics.h"
 #include "lab/experiment.h"
 #include "lab/registry.h"
 #include "stats/rng.h"
@@ -150,6 +152,42 @@ TEST(ArmMean, SplitsCorrectly) {
   rows[3].treated = true;
   EXPECT_DOUBLE_EQ(arm_mean(rows, false), 2.0);
   EXPECT_DOUBLE_EQ(arm_mean(rows, true), 15.0);
+}
+
+// Figure benches join two columns of one table by row index (Figure 9
+// weights % retransmitted bytes by bytes sent), so every column of a
+// metric_table must hold record i's row at index i.
+TEST(MetricTable, EveryColumnHoldsTheSameRowAtEachIndex) {
+  stats::Rng rng(11);
+  std::vector<video::SessionRecord> records(200);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    video::SessionRecord& record = records[i];
+    record.session_id = 1000 + 7 * i;
+    record.account_id = rng.uniform_int(40);
+    record.link = static_cast<std::uint8_t>(rng.uniform_int(2));
+    record.treated = rng.bernoulli(0.5);
+    record.day = static_cast<std::uint32_t>(rng.uniform_int(5));
+    record.hour = static_cast<std::uint32_t>(rng.uniform_int(24));
+    record.avg_throughput_bps = rng.normal(5e6, 1e6);
+    record.retransmit_fraction = rng.uniform(0.0, 0.05);
+    record.bytes_sent = rng.normal(1e8, 1e7);
+  }
+  const ObservationTable table = metric_table(records);
+  ASSERT_EQ(table.columns.size(), std::size(kAllMetrics));
+  for (const std::vector<Observation>& column : table.columns) {
+    ASSERT_EQ(column.size(), records.size());
+    for (std::size_t i = 0; i < column.size(); ++i) {
+      const video::SessionRecord& record = records[i];
+      EXPECT_EQ(column[i].unit, record.session_id);
+      EXPECT_EQ(column[i].account, record.account_id);
+      EXPECT_EQ(column[i].treated, record.treated);
+      EXPECT_EQ(column[i].hour_of_day, record.hour);
+      EXPECT_EQ(column[i].hour_index, record.day * 24ull + record.hour);
+      EXPECT_EQ(column[i].day, record.day);
+      EXPECT_EQ(column[i].group, record.link);
+      EXPECT_EQ(column[i].weight, 1.0);
+    }
+  }
 }
 
 // The ladder sorts its arms; a NaN breaks the ordering and an infinity

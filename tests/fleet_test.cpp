@@ -357,11 +357,12 @@ TEST(FleetStreaming, StreamedHourlyCellsMatchRecordPath) {
   // The estimator-facing view: weighted hourly cells of the sketch table
   // reproduce the record table's cell means and true session counts.
   const core::ObservationTable streamed_table = sketch.to_table();
-  const std::vector<core::Observation> record_column =
-      core::select(record.sessions, core::Metric::kThroughput);
-  const auto record_cells = core::aggregate_hourly(record_column);
-  const auto streamed_cells = core::aggregate_hourly(
-      streamed_table.column(core::metric_name(core::Metric::kThroughput)));
+  const std::string_view throughput =
+      core::metric_name(core::Metric::kThroughput);
+  const auto record_cells = core::aggregate_hourly(
+      core::metric_table(record.sessions).column(throughput));
+  const auto streamed_cells =
+      core::aggregate_hourly(streamed_table.column(throughput));
   ASSERT_EQ(record_cells.size(), streamed_cells.size());
   for (std::size_t i = 0; i < record_cells.size(); ++i) {
     EXPECT_EQ(record_cells[i].hour_index, streamed_cells[i].hour_index);

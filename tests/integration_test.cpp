@@ -34,8 +34,10 @@ const video::ClusterResult& experiment_run() {
 }
 
 /// One metric column of the shared run, as the designs consume it.
-std::vector<core::Observation> column(core::Metric metric) {
-  return core::select(experiment_run().sessions, metric);
+const std::vector<core::Observation>& column(core::Metric metric) {
+  static const core::ObservationTable table =
+      core::metric_table(experiment_run().sessions);
+  return table.column(core::metric_name(metric));
 }
 
 // The paired design's reads, from the building blocks the paired_link/*
@@ -177,7 +179,8 @@ TEST(AaCalibration, LinkSimilarityDetectsRebufferImbalance) {
   config.seed = 2;
   config.treat_probability[0] = 0.0;
   config.treat_probability[1] = 0.0;
-  const auto baseline = video::run_paired_links(config);
+  const core::ObservationTable baseline =
+      core::metric_table(video::run_paired_links(config).sessions);
   // The aa/null read: link 1's control traffic vs link 2's, hourly FE.
   core::RowFilter link0;
   link0.link = 0;
@@ -188,7 +191,7 @@ TEST(AaCalibration, LinkSimilarityDetectsRebufferImbalance) {
   // Congestion metrics should NOT differ between identical links...
   for (core::Metric metric : {core::Metric::kMinRtt, core::Metric::kBitrate}) {
     const auto rows = core::cross_cell_contrast(
-        core::select(baseline.sessions, metric), link0, link1);
+        baseline.column(metric_name(metric)), link0, link1);
     EXPECT_LT(std::fabs(core::hourly_fe_analysis(rows).relative()), 0.10)
         << metric_name(metric);
   }
