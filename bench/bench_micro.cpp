@@ -15,6 +15,7 @@
 #include "core/analysis.h"
 #include "core/estimator.h"
 #include "core/quantile_effects.h"
+#include "core/session_metrics.h"
 #include "lab/experiment.h"
 #include "lab/fleet_scenarios.h"
 #include "lab/registry.h"
@@ -231,6 +232,21 @@ void BM_HourlyAggregation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HourlyAggregation)->Unit(benchmark::kMillisecond);
+
+void BM_MetricTable(benchmark::State& state) {
+  // The records -> observations step every per-session backend takes
+  // (core::metric_table): one paired_links/experiment day's sessions,
+  // simulated once outside the loop, tabled into all twelve metric
+  // columns per iteration. It writes one Observation row per session per
+  // metric, so it moves with the row's size.
+  xp::video::ClusterConfig config = xp::lab::canonical_experiment_config();
+  config.days = 1.0;
+  const auto sessions = xp::video::run_paired_links(config).sessions;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(xp::core::metric_table(sessions));
+  }
+}
+BENCHMARK(BM_MetricTable)->Unit(benchmark::kMillisecond);
 
 void BM_RunnerAllocationSweep(benchmark::State& state) {
   // Wall-clock scaling of the Figure 2 sweep across thread counts; each

@@ -169,7 +169,7 @@ ObservationTable CellAccumulator::to_table() const {
           row.treated = arm == 1;
           row.group = static_cast<std::uint8_t>(link);
           row.hour_index = hour;
-          row.hour_of_day = static_cast<std::uint32_t>(hour % 24);
+          row.hour_of_day = static_cast<std::uint16_t>(hour % 24);
           row.day = static_cast<std::uint32_t>(hour / 24);
           for (std::size_t b = 0; b < kSketchBins; ++b) {
             const std::uint64_t n = counts_[base + b];

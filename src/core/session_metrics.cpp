@@ -1,6 +1,8 @@
 #include "core/session_metrics.h"
 
 #include <iterator>
+#include <limits>
+#include <stdexcept>
 #include <string>
 
 namespace xp::core {
@@ -73,10 +75,10 @@ bool matches(const Observation& row, const RowFilter& filter) noexcept {
 std::vector<Observation> select(std::span<const Observation> rows,
                                 const RowFilter& filter,
                                 int relabel_treated) {
+  std::size_t matched = 0;
+  for (const Observation& row : rows) matched += matches(row, filter);
   std::vector<Observation> out;
-  // An all-pass filter keeps every row; otherwise guess half.
-  const bool everything = filter.link < 0 && filter.treated < 0;
-  out.reserve(everything ? rows.size() : rows.size() / 2);
+  out.reserve(matched);
   for (const Observation& row : rows) {
     if (!matches(row, filter)) continue;
     Observation obs = row;
@@ -99,7 +101,7 @@ std::vector<Observation> metric_column(
     obs.account = row.account_id;
     obs.treated = row.treated;
     obs.outcome = metric_value(row, metric);
-    obs.hour_of_day = row.hour;
+    obs.hour_of_day = static_cast<std::uint16_t>(row.hour);
     obs.hour_index = static_cast<std::uint64_t>(row.day) * 24 + row.hour;
     obs.day = row.day;
     obs.group = row.link;
@@ -111,6 +113,15 @@ std::vector<Observation> metric_column(
 }  // namespace
 
 ObservationTable metric_table(std::span<const video::SessionRecord> rows) {
+  // Observation::hour_of_day is 16 bits: refuse a wider hour rather than
+  // wrap it (65539 would become hour 3).
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (rows[i].hour > std::numeric_limits<std::uint16_t>::max()) {
+      throw std::invalid_argument(
+          "metric_table: record " + std::to_string(i) + ": hour " +
+          std::to_string(rows[i].hour) + " exceeds 65535");
+    }
+  }
   ObservationTable table;
   table.metrics.reserve(std::size(kAllMetrics));
   table.columns.reserve(std::size(kAllMetrics));

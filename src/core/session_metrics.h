@@ -54,7 +54,8 @@ bool matches(const Observation& row, const RowFilter& filter) noexcept;
 /// order, each holding one row per record (the record's own arm label,
 /// and its link as the observation's group). Every backend that has
 /// per-session records builds its table here; it is the only route from
-/// records to observations.
+/// records to observations. Throws std::invalid_argument naming `hour`
+/// if a record's hour does not fit Observation::hour_of_day (above 65535).
 ObservationTable metric_table(std::span<const video::SessionRecord> rows);
 
 /// Filter a metric column (e.g. one ObservationTable column).

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -171,7 +172,7 @@ core::ObservationTable get_table(Reader& in) {
   for (std::uint32_t c = 0; c < n_columns; ++c) {
     std::string metric = in.get_string("table.metric");
     const auto n_rows = in.get<std::uint64_t>("table.rows");
-    if ((in.size - in.pos) / 50 < n_rows) {  // 50 = packed Observation size
+    if ((in.size - in.pos) / 50 < n_rows) {  // 50 = on-disk row size
       fail("record " + std::to_string(in.record) + ", field 'table.rows': " +
            std::to_string(n_rows) + " rows do not fit the payload");
     }
@@ -183,7 +184,14 @@ core::ObservationTable get_table(Reader& in) {
       obs.account = in.get<std::uint64_t>("table.row.account");
       obs.treated = in.get<std::uint8_t>("table.row.treated") != 0;
       obs.outcome = in.get<double>("table.row.outcome");
-      obs.hour_of_day = in.get<std::uint32_t>("table.row.hour_of_day");
+      const auto hour_of_day =
+          in.get<std::uint32_t>("table.row.hour_of_day");
+      if (hour_of_day > std::numeric_limits<std::uint16_t>::max()) {
+        fail("record " + std::to_string(in.record) +
+             ", field 'table.row.hour_of_day': " +
+             std::to_string(hour_of_day) + " exceeds 65535");
+      }
+      obs.hour_of_day = static_cast<std::uint16_t>(hour_of_day);
       obs.hour_index = in.get<std::uint64_t>("table.row.hour_index");
       obs.day = in.get<std::uint32_t>("table.row.day");
       obs.group = in.get<std::uint8_t>("table.row.group");

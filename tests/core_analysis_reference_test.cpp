@@ -188,7 +188,7 @@ Rows random_rows(std::uint64_t seed) {
     }
     // A cell takes its last row's hour of day; rows of one cell disagree
     // only in hand-built tables, which is what exposes that order.
-    row.hour_of_day = static_cast<std::uint32_t>(
+    row.hour_of_day = static_cast<std::uint16_t>(
         free_hour_of_day ? rng.uniform_int(24) : row.hour_index % 24);
     switch (account_mode) {
       case 0: row.account = i; break;                 // one row per account

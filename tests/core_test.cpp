@@ -190,6 +190,35 @@ TEST(MetricTable, EveryColumnHoldsTheSameRowAtEachIndex) {
   }
 }
 
+// Observation::hour_of_day is 16 bits. An hour that does not fit is
+// refused, not wrapped (65539 would read as hour 3); hours past the day
+// that do fit are kept exactly, for the hourly guards to null.
+TEST(MetricTable, HourPast16BitsThrowsAndWideHoursAreKept) {
+  std::vector<video::SessionRecord> records(3);
+  records[0].hour = 24;
+  records[1].hour = 65535;
+  records[2].hour = 7;
+  const ObservationTable table = metric_table(records);
+  for (const std::vector<Observation>& column : table.columns) {
+    ASSERT_EQ(column.size(), records.size());
+    EXPECT_EQ(column[0].hour_of_day, 24);
+    EXPECT_EQ(column[1].hour_of_day, 65535);
+    EXPECT_EQ(column[1].hour_index, 65535u);
+    EXPECT_EQ(column[2].hour_of_day, 7);
+  }
+
+  records[2].hour = 65539;
+  try {
+    (void)metric_table(records);
+    FAIL() << "hour 65539 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("hour"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("65539"), std::string::npos)
+        << e.what();
+  }
+}
+
 // The ladder sorts its arms; a NaN breaks the ordering and an infinity
 // has no quantile, so either one is refused with a count rather than
 // sorted (the quantile/ladder estimator drops them before calling).

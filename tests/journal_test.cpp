@@ -7,8 +7,10 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <set>
@@ -67,7 +69,7 @@ class JournalWorld final : public lab::DataSource {
       obs.unit = i;
       obs.account = i / 2;
       obs.treated = rng.bernoulli(allocation);
-      obs.hour_of_day = static_cast<std::uint32_t>(i % 24);
+      obs.hour_of_day = static_cast<std::uint16_t>(i % 24);
       obs.hour_index = i % 48;
       obs.day = static_cast<std::uint32_t>(i / 24);
       obs.group = static_cast<std::uint8_t>(i % 2);
@@ -161,6 +163,7 @@ void expect_reports_identical(const core::ExperimentReport& a,
         EXPECT_EQ(p.hour_index, q.hour_index);
         EXPECT_EQ(p.day, q.day);
         EXPECT_EQ(p.group, q.group);
+        expect_bit_equal(p.weight, q.weight, "weight");
       }
     }
     ASSERT_EQ(x.table.aggregate_names, y.table.aggregate_names);
@@ -330,6 +333,109 @@ TEST(Journal, ChecksumMismatchIsRefusedNamingTheRecord) {
   // a corrupt journal.
   EXPECT_THROW(lab::run_experiment(spec, dir.options()),
                std::invalid_argument);
+}
+
+/// One OK cell whose table is the given rows, as the pipeline would
+/// append it.
+core::ExperimentCell cell_of(std::vector<core::Observation> rows) {
+  core::ExperimentCell cell;
+  cell.allocation = 0.5;
+  cell.seed = 99;
+  cell.table.add_column("rows", std::move(rows));
+  return cell;
+}
+
+// The in-memory row packs hour_of_day into 16 bits; the on-disk row keeps
+// its 32-bit field. Every field must come back bit for bit, including
+// hours past the day, a fractional weight, NaN and -0.0.
+TEST(Journal, RowsRoundTripBitForBit) {
+  std::vector<core::Observation> rows;
+  const double outcomes[] = {std::numeric_limits<double>::quiet_NaN(), -0.0,
+                             1.25, -3.5e300};
+  const std::uint16_t hours[] = {0, 23, 24, 65535};
+  for (std::size_t i = 0; i < 4; ++i) {
+    core::Observation obs;
+    obs.unit = std::numeric_limits<std::uint64_t>::max() - i;
+    obs.account = 0x0123456789abcdefULL + i;
+    obs.outcome = outcomes[i];
+    obs.hour_index = (std::uint64_t{1} << 40) + i;
+    obs.weight = i == 2 ? 0.375 : 1.0 + static_cast<double>(i);
+    obs.day = std::numeric_limits<std::uint32_t>::max() - 1 -
+              static_cast<std::uint32_t>(i);
+    obs.hour_of_day = hours[i];
+    obs.treated = i % 2 == 1;
+    obs.group = static_cast<std::uint8_t>(250 + i);
+    rows.push_back(obs);
+  }
+  TempDir dir("roundtrip");
+  const core::ExperimentCell written = cell_of(rows);
+  { lab::CellJournal(dir.file()).append(5, written); }
+
+  lab::CellJournal journal(dir.file());
+  const core::ExperimentCell* read = journal.find(5, 0.5, 99);
+  ASSERT_NE(read, nullptr);
+  ASSERT_EQ(read->table.metrics, written.table.metrics);
+  const std::vector<core::Observation>& back = read->table.columns.at(0);
+  ASSERT_EQ(back.size(), rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    SCOPED_TRACE("row " + std::to_string(i));
+    EXPECT_EQ(back[i].unit, rows[i].unit);
+    EXPECT_EQ(back[i].account, rows[i].account);
+    expect_bit_equal(back[i].outcome, rows[i].outcome, "outcome");
+    EXPECT_EQ(back[i].hour_index, rows[i].hour_index);
+    expect_bit_equal(back[i].weight, rows[i].weight, "weight");
+    EXPECT_EQ(back[i].day, rows[i].day);
+    EXPECT_EQ(back[i].hour_of_day, rows[i].hour_of_day);
+    EXPECT_EQ(back[i].treated, rows[i].treated);
+    EXPECT_EQ(back[i].group, rows[i].group);
+  }
+}
+
+// A well-framed record whose 32-bit on-disk hour_of_day does not fit the
+// 16-bit row is refused naming the record and the field, never wrapped.
+TEST(Journal, HourOfDayPast16BitsIsRefusedNamingTheField) {
+  core::Observation obs;
+  obs.unit = 1;
+  obs.account = 2;
+  obs.outcome = 2.5;
+  obs.hour_index = 3;
+  obs.hour_of_day = 0xBEEF;  // a marker to find on disk
+  TempDir dir("widehour");
+  { lab::CellJournal(dir.file()).append(5, cell_of({obs})); }
+
+  // Rewrite the marker as 70000 and re-checksum the frame, so only the
+  // field's value is wrong. Layout: 8-byte header, then u32 payload size
+  // and u64 checksum, then the payload.
+  std::string bytes;
+  {
+    std::ifstream in(dir.file(), std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const std::size_t payload_at = 8 + 12;
+  ASSERT_GT(bytes.size(), payload_at);
+  const std::string marker("\xEF\xBE\x00\x00", 4);
+  const std::size_t at = bytes.find(marker, payload_at);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(bytes.find(marker, at + 1), std::string::npos);
+  const std::uint32_t wide = 70000;
+  std::memcpy(bytes.data() + at, &wide, sizeof(wide));
+  const std::uint64_t checksum = lab::fnv1a64(
+      bytes.data() + payload_at, bytes.size() - payload_at);
+  std::memcpy(bytes.data() + 8 + 4, &checksum, sizeof(checksum));
+  {
+    std::ofstream out(dir.file(), std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  try {
+    lab::CellJournal journal(dir.file());
+    FAIL() << "hour_of_day 70000 was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("record 0"), std::string::npos) << what;
+    EXPECT_NE(what.find("table.row.hour_of_day"), std::string::npos) << what;
+    EXPECT_NE(what.find("70000"), std::string::npos) << what;
+  }
 }
 
 TEST(Journal, ForeignOrWrongVersionFilesAreRefused) {

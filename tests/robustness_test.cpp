@@ -84,7 +84,7 @@ class TestSource final : public lab::DataSource {
       obs.account = i;
       obs.treated =
           kind_ == Kind::kSingleArm ? false : rng.bernoulli(allocation);
-      obs.hour_of_day = static_cast<std::uint32_t>(i % 24);
+      obs.hour_of_day = static_cast<std::uint16_t>(i % 24);
       obs.hour_index = i % 48;
       obs.day = static_cast<std::uint32_t>((i / 24) % 4);
       obs.group = static_cast<std::uint8_t>(i % 2);
@@ -695,7 +695,7 @@ std::vector<core::Observation> counted_rows(std::size_t treated,
     obs.account = i;
     obs.treated = i < treated;
     obs.hour_index = i % 24;
-    obs.hour_of_day = static_cast<std::uint32_t>(i % 24);
+    obs.hour_of_day = static_cast<std::uint16_t>(i % 24);
     obs.outcome = 1.0;
     rows.push_back(obs);
   }
@@ -832,7 +832,7 @@ TEST(Degenerate, HourOfDayPastTheDayYieldsANullTteRow) {
     obs.group = static_cast<std::uint8_t>(i % 2);
     obs.treated = obs.group == core::kMostlyTreatedLink;
     obs.hour_index = i / 2 % 24;
-    obs.hour_of_day = static_cast<std::uint32_t>(obs.hour_index);
+    obs.hour_of_day = static_cast<std::uint16_t>(obs.hour_index);
     obs.outcome =
         10.0 + static_cast<double>(i % 7) + (obs.treated ? 1.0 : 0.0);
     rows.push_back(obs);
